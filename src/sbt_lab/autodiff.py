@@ -209,17 +209,6 @@ def pow_const(a: Tensor, p: float) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    if not _tracked(a):
-        return Tensor(data)
-
-    def bwd(g, a=a, data=data):
-        a.accumulate_grad(g * data, owned=True)
-
-    return _node(data, (a,), bwd)
-
-
 def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
     if not _tracked(a):
@@ -227,17 +216,6 @@ def log(a: Tensor) -> Tensor:
 
     def bwd(g, a=a):
         a.accumulate_grad(g / a.data, owned=True)
-
-    return _node(data, (a,), bwd)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-    if not _tracked(a):
-        return Tensor(data)
-
-    def bwd(g, a=a, data=data):
-        a.accumulate_grad(g * (0.5 / data), owned=True)
 
     return _node(data, (a,), bwd)
 
@@ -678,19 +656,6 @@ class ParamStore:
     def num_values(self) -> int:
         return sum(t.data.size for t in self._params.values())
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._params.items()}
-
-    def load_state(self, state: dict[str, np.ndarray]):
-        for k, v in self._params.items():
-            if k not in state:
-                raise ContractError(f"missing parameter in state: {k}")
-            if state[k].shape != v.data.shape:
-                raise ContractError(
-                    f"shape mismatch for {k}: {state[k].shape} vs {v.data.shape}"
-                )
-            v.data = state[k].astype(v.data.dtype, copy=True)
-
 
 # ---------------------------------------------------------------------------
 # gradient checking
@@ -768,10 +733,3 @@ def glorot_normal(rng: np.random.Generator, shape, fan_in: int,
     training runs; scaling by fan keeps activations near unit variance.
     """
     return trunc_normal(rng, shape, std=float(np.sqrt(2.0 / (fan_in + fan_out))))
-
-
-def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
-    fan_out = shape[-1]
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(DEFAULT_DTYPE)

@@ -21,7 +21,7 @@ from .autodiff import ParamStore, Tensor, glorot_normal, trunc_normal
 from .errors import ConfigError, DimensionError, FormatError
 from .head import ConvHead, MixMlpHead
 from .layers import (
-    Attention, FrmLayer, LayerNormParams, LocalLayer, PatchEmbed, PatchMerge,
+    FrmLayer, LayerNormParams, LocalLayer, PatchEmbed, PatchMerge,
     RelBiasTable, TokenMap, UrmLayer, concat_maps, map_from_image,
 )
 
@@ -266,14 +266,6 @@ class _InterConv:
         return 2 * (h // 2) * (w // 2) * self.c_out * self.c_in * 16
 
 
-def _frm_self(frm: FrmLayer, tm: TokenMap) -> TokenMap:
-    """Run one FRM block as pure self-attention on a single image map."""
-    normed = tm.with_tokens(frm.ln1(tm.tokens))
-    t = ad.add(tm.tokens, frm.attn(normed, normed))
-    t = ad.add(t, frm.mlp(frm.ln2(t), layout=tm.layout()))
-    return tm.with_tokens(t)
-
-
 class Model:
     """A built variant: parameter store plus the derived layer graph."""
 
@@ -368,7 +360,7 @@ class Model:
                                        self._abs_table(h, w, tm.channels)))
         for blocks, inter in zip(self.stage_blocks[:-1], self.inter_ops):
             for blk in blocks:
-                tm = blk(tm) if isinstance(blk, LocalLayer) else _frm_self(blk, tm)
+                tm = blk(tm) if isinstance(blk, LocalLayer) else blk.self_block(tm)
             tm = inter(tm)
         return tm
 
@@ -499,7 +491,6 @@ class MimPretrainer:
             UrmLayer(self.store, f"dec{i}", rng, channels, heads)
             for i in range(blocks)
         ]
-        from .layers import LayerNormParams
         self.ln = LayerNormParams(self.store, "dec_ln", channels)
         # small output projection: untrained reconstruction stays near
         # zero so the initial loss equals the pixel variance baseline
@@ -540,7 +531,7 @@ class MimPretrainer:
                        [(1, len(visible))], ["search"])
         for blk in model.stage_blocks[-1]:
             # masked training is single-image; every block acts as SA
-            vis = blk(vis) if isinstance(blk, UrmLayer) else _frm_self(blk, vis)
+            vis = blk(vis) if isinstance(blk, UrmLayer) else blk.self_block(vis)
         enc = ad.linear(model.final_ln(vis.tokens), self.proj_w, self.proj_b)
         fill = ad.take_rows(self.mask_token,
                             np.zeros(len(masked), dtype=np.intp))

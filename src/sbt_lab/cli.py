@@ -58,6 +58,14 @@ def _add_variant_flags(p):
                    help="variant config file; overrides --variant")
 
 
+def _add_tracker_flags(p):
+    p.add_argument("--window-weight", type=float,
+                   default=trk.TrackerConfig.window_weight,
+                   help="score-window mixing weight (default: %(default)s)")
+    p.add_argument("--temporal", action="store_true",
+                   help="enable dynamic-template updates")
+
+
 def _resolve_variant(args):
     if args.variant_file is not None:
         return bb.load_variant_file(args.variant_file)
@@ -278,15 +286,9 @@ def cmd_track(args, out):
     model = _build_model(args)
     frames = _load_frames(args.video)
     box = _parse_box(args.init)
-    cfg = _tracker_config(args)
-    state = trk.init(frames[0].astype(np.float32) / 255.0, box, model, cfg)
-    lines = [f"0,{box[0]:.6f},{box[1]:.6f},{box[2]:.6f},{box[3]:.6f}"]
-    for i, frame in enumerate(frames[1:], start=1):
-        f = frame.astype(np.float32) / 255.0
-        (x, y, w, h), conf = trk.track_step(state, f)
-        trk.maybe_update_template(state, f, conf)
-        lines.append(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}")
-    text = "\n".join(lines) + "\n"
+    boxes = trk.track_frames(model, frames, box, _tracker_config(args))
+    text = "".join(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n"
+                   for i, (x, y, w, h) in enumerate([box] + boxes))
     out.write(text)
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -383,10 +385,7 @@ def build_parser():
                    help="frame-1 target box as x,y,w,h pixels")
     p.add_argument("--checkpoint", default=None, help="trained weights")
     p.add_argument("--out", default=None, help="box CSV output path")
-    p.add_argument("--window-weight", type=float, default=0.45,
-                   help="score-window mixing weight (default: %(default)s)")
-    p.add_argument("--temporal", action="store_true",
-                   help="enable dynamic-template updates")
+    _add_tracker_flags(p)
 
     p = add("eval", cmd_eval, "evaluate tracking metrics over a dataset")
     _add_variant_flags(p)
@@ -395,10 +394,7 @@ def build_parser():
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel sequences (default: %(default)s)")
-    p.add_argument("--window-weight", type=float, default=0.45,
-                   help="score-window mixing weight (default: %(default)s)")
-    p.add_argument("--temporal", action="store_true",
-                   help="enable dynamic-template updates")
+    _add_tracker_flags(p)
 
     return parser
 

@@ -207,8 +207,11 @@ def write_ppm(path, image: np.ndarray):
 
 
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}")
     m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
     if not m:
         raise FormatError(f"{path} is not a binary PPM (P6) file")
@@ -245,10 +248,14 @@ def load_sequence(path) -> SyntheticSequence:
         parts = ln.split(",")
         if len(parts) != 5:
             raise FormatError(f"{gt_path}: expected frame_idx,x,y,w,h: {ln!r}")
-        idx = int(parts[0])
+        try:
+            idx = int(parts[0])
+            box = tuple(float(v) for v in parts[1:])
+        except ValueError:
+            raise FormatError(f"{gt_path}: non-numeric field in {ln!r}")
         if idx != len(gt):
             raise FormatError(f"{gt_path}: non-contiguous frame index {idx}")
-        gt.append(tuple(float(v) for v in parts[1:]))
+        gt.append(box)
     frames = []
     for i in range(len(gt)):
         frames.append(read_ppm(os.path.join(path, f"frame_{i}.ppm")))
@@ -259,8 +266,12 @@ def load_sequence(path) -> SyntheticSequence:
 
 
 def load_dataset(root) -> list:
+    try:
+        entries = os.listdir(root)
+    except OSError as e:
+        raise FormatError(f"cannot list dataset {root}: {e}")
     names = sorted(
-        n for n in os.listdir(root)
+        n for n in entries
         if n.startswith("seq_") and os.path.isdir(os.path.join(root, n))
     )
     if not names:
@@ -416,14 +427,7 @@ def aggregate(per_sequence) -> Metrics:
 def run_tracker_on_sequence(model: Model, seq: SyntheticSequence,
                             config: Optional[trk.TrackerConfig] = None) -> list:
     """One-pass tracking; gt is read only for frame-1 initialization."""
-    frames = [f.astype(np.float32) / 255.0 for f in seq.frames]
-    state = trk.init(frames[0], seq.gt[0], model, config)
-    boxes = []
-    for frame in frames[1:]:
-        box, conf = trk.track_step(state, frame)
-        trk.maybe_update_template(state, frame, conf)
-        boxes.append(box)
-    return boxes
+    return trk.track_frames(model, seq.frames, seq.gt[0], config)
 
 
 def evaluate(model: Model, sequences,

@@ -224,16 +224,14 @@ class Attention:
     """Multi-head scaled dot-product attention over token maps.
 
     mode "VG": all kv tokens; "SRG": kv grid reduced by a depthwise conv
-    with kernel=stride=r; "VL"/"SL": (shifted) window attention, single
-    image maps only.
+    with kernel=stride=r.
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
-                 heads: int, mode: str = "VG", sr_ratio: int = 1,
-                 window: int = 8):
+                 heads: int, mode: str = "VG", sr_ratio: int = 1):
         if channels % heads:
             raise ConfigError(f"channels {channels} not divisible by heads {heads}")
-        if mode not in ("VG", "SRG", "VL", "SL"):
+        if mode not in ("VG", "SRG"):
             raise ConfigError(f"unknown attention mode {mode}")
         if mode == "SRG" and sr_ratio < 1:
             raise ConfigError("SRG needs sr_ratio >= 1")
@@ -242,7 +240,6 @@ class Attention:
         self.scale = 1.0 / math.sqrt(self.head_dim)
         self.mode = mode
         self.sr_ratio = sr_ratio if mode == "SRG" else 1
-        self.window = window
         add = store.add
         self.wq = add(f"{prefix}.wq", glorot_normal(
             rng, (channels, channels), channels, channels))
@@ -287,10 +284,6 @@ class Attention:
                 f"token channels {q_src.channels}/{kv_src.channels} != "
                 f"attention channels {self.channels}"
             )
-        if self.mode in ("VL", "SL"):
-            if bias is not None or mask is not None:
-                raise ConfigError("window attention takes no bias/mask")
-            return self._window_attention(q_src, kv_src)
         kv = self._reduce_kv(kv_src) if self.sr_ratio > 1 else kv_src
         lq, lk = q_src.length, kv.length
         q = self._heads(ad.linear(q_src.tokens, self.wq, self.bq), lq)
@@ -306,64 +299,14 @@ class Attention:
         out = ad.reshape(ad.transpose(out, (1, 0, 2)), (lq, self.channels))
         return ad.linear(out, self.wo, self.bo)
 
-    def _window_attention(self, q_src: TokenMap, kv_src: TokenMap) -> Tensor:
-        if q_src is not kv_src:
-            raise ConfigError(
-                "local window attention is a single-image operator; "
-                "cross-image VL/SL is not supported"
-            )
-        h, w = q_src.grid  # raises for concatenated maps
-        win = self.window
-        if h % win or w % win:
-            raise DimensionError(f"grid {h}x{w} not divisible by window {win}")
-        tokens = q_src.tokens
-        perm = None
-        if self.mode == "SL":
-            # cyclic shift by half a window, attend, shift back
-            s = win // 2
-            yy, xx = np.mgrid[0:h, 0:w]
-            perm = (((yy + s) % h) * w + (xx + s) % w).ravel()
-            tokens = ad.take_rows(tokens, perm)
-        c, hd, nh = self.channels, self.head_dim, self.heads
-        nwy, nwx = h // win, w // win
-        nw, lw = nwy * nwx, win * win
-        t = ad.reshape(tokens, (nwy, win, nwx, win, c))
-        t = ad.reshape(ad.transpose(t, (0, 2, 1, 3, 4)), (nw * lw, c))
-
-        def split_heads(x):
-            x = ad.reshape(x, (nw, lw, nh, hd))
-            return ad.transpose(x, (0, 2, 1, 3))  # (nw, H, lw, d)
-
-        q = split_heads(ad.linear(t, self.wq, self.bq))
-        k = split_heads(ad.linear(t, self.wk, self.bk))
-        v = split_heads(ad.linear(t, self.wv, self.bv))
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), self.scale)
-        out = ad.matmul(ad.softmax_lastdim(scores), v)
-        out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (nw, lw, c))
-        out = ad.reshape(out, (nwy, nwx, win, win, c))
-        out = ad.reshape(ad.transpose(out, (0, 2, 1, 3, 4)), (h * w, c))
-        if perm is not None:
-            out = ad.take_rows(out, np.argsort(perm))
-        return ad.linear(out, self.wo, self.bo)
-
     def flops(self, lq: int, lkv: int) -> int:
         c = self.channels
-        if self.mode in ("VL", "SL"):
-            lw = self.window ** 2
-            return 4 * c * c * lq + 2 * c * lq * lw
         r = self.sr_ratio
         lred = lkv // (r * r)
         total = 2 * c * c * lq + 2 * c * c * lred + 2 * c * lq * lred
         if r > 1:
             total += 2 * lred * c * r * r  # depthwise reduction conv
         return total
-
-
-def attention(q_src: TokenMap, kv_src: TokenMap, p: Attention,
-              bias: Optional[Tensor] = None,
-              mask: Optional[np.ndarray] = None) -> Tensor:
-    """Functional form of multi-head attention over token maps."""
-    return p(q_src, kv_src, bias=bias, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -428,37 +371,39 @@ class FrmLayer:
 
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
                  heads: int, mlp_ratio: float = 4.0, attn_mode: str = "VG",
-                 sr_ratio: int = 1, cond_pe: bool = False, window: int = 8):
+                 sr_ratio: int = 1, cond_pe: bool = False):
         self.ln1 = LayerNormParams(store, f"{prefix}.ln1", channels)
         self.attn = Attention(store, f"{prefix}.attn", rng, channels, heads,
-                              mode=attn_mode, sr_ratio=sr_ratio, window=window)
+                              mode=attn_mode, sr_ratio=sr_ratio)
         self.ln2 = LayerNormParams(store, f"{prefix}.ln2", channels)
         self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
                        int(channels * mlp_ratio), cond_pe=cond_pe)
 
+    def _mlp_update(self, tm: TokenMap, t: Tensor) -> TokenMap:
+        return tm.with_tokens(ad.add(t, self.mlp(self.ln2(t),
+                                                 layout=tm.layout())))
+
+    def self_block(self, tm: TokenMap) -> TokenMap:
+        """The whole block as self-attention on one map."""
+        normed = tm.with_tokens(self.ln1(tm.tokens))
+        return self._mlp_update(tm, ad.add(tm.tokens, self.attn(normed, normed)))
+
     def attention_update(self, z: TokenMap, x: TokenMap, mode: str):
-        """Residual attention step only; returns updated token tensors."""
+        """Residual cross-attention step only; returns updated token tensors."""
+        if mode != "CA":
+            raise ConfigError(f"unknown FRM mode {mode}")
         if z.channels != x.channels:
             raise DimensionError("template/search channel mismatch")
         zn = z.with_tokens(self.ln1(z.tokens))
         xn = x.with_tokens(self.ln1(x.tokens))
-        if mode == "SA":
-            z_upd = self.attn(zn, zn)
-            x_upd = self.attn(xn, xn)
-        elif mode == "CA":
-            if self.attn.mode in ("VL", "SL"):
-                raise ConfigError("cross-attention is not defined for VL/SL")
-            z_upd = self.attn(zn, xn)
-            x_upd = self.attn(xn, zn)
-        else:
-            raise ConfigError(f"unknown FRM mode {mode}")
-        return ad.add(z.tokens, z_upd), ad.add(x.tokens, x_upd)
+        return (ad.add(z.tokens, self.attn(zn, xn)),
+                ad.add(x.tokens, self.attn(xn, zn)))
 
     def __call__(self, z: TokenMap, x: TokenMap, mode: str):
+        if mode == "SA":
+            return self.self_block(z), self.self_block(x)
         zt, xt = self.attention_update(z, x, mode)
-        zt = ad.add(zt, self.mlp(self.ln2(zt), layout=z.layout()))
-        xt = ad.add(xt, self.mlp(self.ln2(xt), layout=x.layout()))
-        return z.with_tokens(zt), x.with_tokens(xt)
+        return self._mlp_update(z, zt), self._mlp_update(x, xt)
 
     def flops(self, lz: int, lx: int, mode: str) -> int:
         if mode == "SA":

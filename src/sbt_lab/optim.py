@@ -86,6 +86,3 @@ class AdamW:
             np.divide(m, scratch, out=scratch)
             scratch *= self.lr / bc1
             p.data -= scratch
-
-    def zero_grad(self):
-        self.params.zero_grad()

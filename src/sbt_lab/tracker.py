@@ -128,6 +128,9 @@ def crop_region(frame: np.ndarray, center: tuple, side: float,
 def _check_box_in_frame(box, frame_shape):
     x, y, w, h = box
     _, fh, fw = frame_shape
+    # every comparison with NaN is false, so the checks below would pass it
+    if not np.isfinite(box).all():
+        raise ContractError(f"non-finite box {tuple(box)}")
     if w <= 0 or h <= 0:
         raise ContractError(f"degenerate box {tuple(box)}")
     if x < 0 or y < 0 or x + w > fw or y + h > fh:
@@ -234,3 +237,20 @@ def maybe_update_template(state: TrackerState, frame: np.ndarray,
     state.set_dyn_template(patch)
     state.last_update_frame = state.frame_index
     return True
+
+
+def track_frames(model: Model, frames, box,
+                 config: Optional[TrackerConfig] = None) -> list:
+    """Track from frames[0] and its box (x, y, w, h) to the last frame.
+
+    frames are uint8 (3, H, W); each is scaled to float32 in [0, 1] only
+    when the loop reaches it. Returns the boxes for frames 2..N.
+    """
+    state = init(frames[0].astype(np.float32) / 255.0, box, model, config)
+    boxes = []
+    for frame in frames[1:]:
+        f = frame.astype(np.float32) / 255.0
+        box, conf = track_step(state, f)
+        maybe_update_template(state, f, conf)
+        boxes.append(box)
+    return boxes

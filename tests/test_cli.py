@@ -6,6 +6,8 @@ import pytest
 
 from sbt_lab import backbone as bb
 from sbt_lab import cli
+from sbt_lab import harness as hn
+from sbt_lab import tracker as trk
 from sbt_lab.errors import NumericError
 
 TINY_CFG = """
@@ -236,10 +238,26 @@ class TestTrack:
 
     def test_malformed_init_exit_one(self, tiny_cfg, dataset):
         video = os.path.join(dataset, "seq_1")
-        for bad in ("30,30,20", "a,b,c,d"):
+        for bad in ("30,30,20", "a,b,c,d", "nan,30,20,20"):
             code, _ = run(["track", "--video", video, "--init", bad,
                            "--variant-file", tiny_cfg])
             assert code == 1
+
+    @pytest.mark.parametrize("temporal", [False, True])
+    def test_track_rows_match_eval_loop(self, tiny_cfg, dataset, temporal):
+        video = os.path.join(dataset, "seq_1")
+        with open(os.path.join(video, "gt.csv")) as fh:
+            init = fh.readline().strip().split(",", 1)[1]
+        flags = ["--temporal"] if temporal else []
+        code, text = run(["track", "--video", video, "--init", init,
+                          "--variant-file", tiny_cfg] + flags)
+        assert code == 0
+        model = bb.build_variant(bb.load_variant_file(tiny_cfg))
+        boxes = hn.run_tracker_on_sequence(
+            model, hn.load_sequence(video), trk.TrackerConfig(temporal=temporal))
+        expect = [f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}"
+                  for i, (x, y, w, h) in enumerate(boxes, start=1)]
+        assert text.strip().split("\n")[1:] == expect
 
     def test_missing_video_exit_one(self, tiny_cfg, tmp_path):
         code, _ = run(["track", "--video", str(tmp_path / "nope"), "--init",

@@ -131,12 +131,30 @@ class TestSequenceIo:
         with pytest.raises(FormatError):
             hn.load_dataset(tmp_path)
 
+    def test_load_dataset_missing_dir_rejected(self, tmp_path):
+        with pytest.raises(FormatError):
+            hn.load_dataset(tmp_path / "nope")
+
     def test_bad_csv_column_count(self, tmp_path):
         d = tmp_path / "seq_0"
         d.mkdir()
         (d / "gt.csv").write_text("0,1.0,2.0,3.0\n")
         with pytest.raises(FormatError):
             hn.load_sequence(d)
+
+    def test_non_numeric_field_rejected(self, tmp_path):
+        d = tmp_path / "seq_0"
+        d.mkdir()
+        (d / "gt.csv").write_text("0,1,2,3,4\n1,1,x,3,4\n")
+        with pytest.raises(FormatError):
+            hn.load_sequence(d)
+
+    def test_missing_frame_rejected(self, tmp_path):
+        seq = hn.gen_sequence(7, length=3, frame_size=64)
+        hn.save_sequence(seq, tmp_path)
+        os.remove(tmp_path / "seq_7" / "frame_2.ppm")
+        with pytest.raises(FormatError):
+            hn.load_sequence(tmp_path / "seq_7")
 
     def test_non_contiguous_index(self, tmp_path):
         d = tmp_path / "seq_0"

@@ -6,7 +6,7 @@ from sbt_lab.autodiff import ParamStore, Tensor, tensor
 from sbt_lab.errors import ConfigError, ContractError, DimensionError
 from sbt_lab.layers import (
     Attention, FrmLayer, LocalLayer, PatchEmbed, PatchMerge, RelBiasTable,
-    TokenMap, UrmLayer, attention, ca_dynamic_conv_oracle, concat_maps,
+    TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps,
     map_from_image, segment_mask,
 )
 
@@ -92,7 +92,7 @@ class TestAttention:
         cast64(ps)
         q = make_map(rng, 3, 6)
         kv = make_map(rng, 1, 6, tag="template")
-        out = attention(q, kv, a)
+        out = a(q, kv)
         for row in out.data:
             np.testing.assert_allclose(row, kv.tokens.data[0], atol=1e-12)
 
@@ -104,8 +104,7 @@ class TestAttention:
         kv2 = TokenMap(ad.concat([kv1.tokens, kv1.tokens], axis=0), [(1, 2)],
                        ["template"])
         q = make_map(rng, 4, 8)
-        np.testing.assert_allclose(attention(q, kv1, a).data,
-                                   attention(q, kv2, a).data, atol=1e-12)
+        np.testing.assert_allclose(a(q, kv1).data, a(q, kv2).data, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_naive_loop_oracle(self, seed):
@@ -116,7 +115,7 @@ class TestAttention:
         cast64(ps)
         q_map = make_map(rng, 6, c)
         kv_map = make_map(rng, 6, c, tag="template")
-        out = attention(q_map, kv_map, a).data
+        out = a(q_map, kv_map).data
 
         # brute-force dense attention, one (query, head) pair at a time
         d = c // h
@@ -148,7 +147,7 @@ class TestAttention:
             rng2 = np.random.default_rng(8)
             q = make_map(rng2, 4, 8, grid=(2, 2))
             kv = make_map(rng2, 4, 8, tag="template", grid=(2, 2))
-            out[mode] = attention(q, kv, a).data
+            out[mode] = a(q, kv).data
         np.testing.assert_array_equal(out["VG"], out["SRG"])
 
     def test_srg_reduces_kv(self):
@@ -157,10 +156,10 @@ class TestAttention:
         cast64(ps)
         kv = make_map(rng, 16, 8, tag="template", grid=(4, 4))
         q = make_map(rng, 4, 8, grid=(2, 2))
-        assert attention(q, kv, a).data.shape == (4, 8)
+        assert a(q, kv).data.shape == (4, 8)
         bad = make_map(rng, 9, 8, tag="template", grid=(3, 3))
         with pytest.raises(DimensionError):
-            attention(q, bad, a)
+            a(q, bad)
 
     def test_permutation_equivariance(self):
         ps, rng = ParamStore(), np.random.default_rng(10)
@@ -168,39 +167,11 @@ class TestAttention:
         cast64(ps)
         tm = make_map(rng, 9, 8, grid=(3, 3))
         perm = np.random.default_rng(11).permutation(9)
-        out = attention(tm, tm, a).data
+        out = a(tm, tm).data
         tm_p = TokenMap(tensor(tm.tokens.data[perm], dtype=F64), [(3, 3)],
                         ["search"])
-        out_p = attention(tm_p, tm_p, a).data
+        out_p = a(tm_p, tm_p).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
-
-    def test_window_attention_full_window_equals_vg(self):
-        res = {}
-        for mode in ("VG", "VL"):
-            ps, rng = ParamStore(), np.random.default_rng(12)
-            a = Attention(ps, "attn", rng, 8, heads=2, mode=mode, window=4)
-            cast64(ps)
-            tm = make_map(np.random.default_rng(13), 16, 8, grid=(4, 4))
-            res[mode] = attention(tm, tm, a).data
-        np.testing.assert_allclose(res["VG"], res["VL"], atol=1e-10)
-
-    def test_window_cross_image_rejected(self):
-        ps, rng = ParamStore(), np.random.default_rng(14)
-        a = Attention(ps, "attn", rng, 8, heads=2, mode="SL", window=2)
-        z = make_map(rng, 4, 8, tag="template", grid=(2, 2))
-        x = make_map(rng, 16, 8, grid=(4, 4))
-        with pytest.raises(ConfigError):
-            attention(x, z, a)
-
-    def test_sl_differs_from_vl(self):
-        res = {}
-        for mode in ("VL", "SL"):
-            ps, rng = ParamStore(), np.random.default_rng(15)
-            a = Attention(ps, "attn", rng, 8, heads=2, mode=mode, window=2)
-            cast64(ps)
-            tm = make_map(np.random.default_rng(16), 16, 8, grid=(4, 4))
-            res[mode] = attention(tm, tm, a).data
-        assert np.abs(res["VL"] - res["SL"]).max() > 1e-6
 
 
 class TestFrm:
@@ -268,14 +239,6 @@ class TestFrm:
         v = zn @ a.wv.data + a.bv.data
         single = (q @ k.T) * a.scale @ v @ a.wo.data + a.bo.data + x.tokens.data
         assert np.abs(single - x_attn.data).max() > 1e-4
-
-    def test_vl_cross_attention_rejected(self):
-        ps, rng = ParamStore(), np.random.default_rng(34)
-        frm = FrmLayer(ps, "frm", rng, 8, 2, attn_mode="VL", window=2)
-        z = make_map(rng, 4, 8, tag="template", grid=(2, 2))
-        x = make_map(rng, 16, 8, grid=(4, 4))
-        with pytest.raises(ConfigError):
-            frm(z, x, "CA")
 
 
 class TestUrm:
