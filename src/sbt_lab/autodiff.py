@@ -472,15 +472,17 @@ def _conv_out_side(size: int, k: int, stride: int, padding: int) -> int:
 
 def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
            padding: int = 0, groups: int = 1) -> Tensor:
-    """Cross-correlation conv on a (C,H,W) map; groups=C gives depthwise."""
+    """Cross-correlation conv on a (C,H,W) map: dense (groups=1) or
+    depthwise (groups=C_in=C_out)."""
     cin, h, win = t.data.shape
     cout, cin_g, k, k2 = w.data.shape
     if k != k2:
         raise DimensionError("conv2d expects square kernels")
-    if cin % groups or cout % groups or cin_g != cin // groups:
+    depthwise = groups == cin == cout and cin_g == 1
+    if not (depthwise or (groups == 1 and cin_g == cin)):
         raise DimensionError(
-            f"conv2d channel/group mismatch: C_in={cin} C_out={cout} "
-            f"groups={groups} weight={w.data.shape}"
+            f"conv2d supports dense or depthwise only: C_in={cin} "
+            f"C_out={cout} groups={groups} weight={w.data.shape}"
         )
     ho = _conv_out_side(h, k, stride, padding)
     wo = _conv_out_side(win, k, stride, padding)
@@ -492,20 +494,13 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
     windows = np.lib.stride_tricks.sliding_window_view(pad, (k, k), axis=(1, 2))
     patches = windows[:, ::stride, ::stride]  # (C, ho, wo, k, k)
 
-    if groups == cin and cout == cin:
-        # depthwise fast path
+    if depthwise:
         data = np.einsum("chwij,cij->chw", patches, w.data[:, 0], optimize=True)
-        cols = None
+        col = None
     else:
-        cpg_in, cpg_out = cin // groups, cout // groups
+        col = patches.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cin * k * k)
         data = np.empty((cout, ho, wo), dtype=t.data.dtype)
-        cols = []
-        for gi in range(groups):
-            p = patches[gi * cpg_in:(gi + 1) * cpg_in]
-            col = p.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cpg_in * k * k)
-            wm = w.data[gi * cpg_out:(gi + 1) * cpg_out].reshape(cpg_out, -1)
-            data[gi * cpg_out:(gi + 1) * cpg_out] = (col @ wm.T).T.reshape(cpg_out, ho, wo)
-            cols.append(col)
+        data[:] = (col @ w.data.reshape(cout, -1).T).T.reshape(cout, ho, wo)
     if b is not None:
         if b.data.shape != (cout,):
             raise DimensionError(f"conv2d bias shape {b.data.shape} != ({cout},)")
@@ -515,34 +510,29 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
     if not _tracked(*parents):
         return Tensor(data)
 
-    def bwd(g, t=t, w=w, b=b, patches=patches, cols=cols):
+    def bwd(g, t=t, w=w, b=b, patches=patches, col=col):
         if b is not None:
             b.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
         ph, pw = h + 2 * padding, win + 2 * padding
         dpad = np.zeros((cin, ph, pw), dtype=t.data.dtype)
-        if groups == cin and cout == cin:
+        if depthwise:
             w.accumulate_grad(
                 np.einsum("chw,chwij->cij", g, patches, optimize=True)[:, None],
                 owned=True,
             )
-            for i in range(k):
-                for j in range(k):
-                    dpad[:, i:i + stride * (ho - 1) + 1:stride,
-                         j:j + stride * (wo - 1) + 1:stride] += g * w.data[:, 0, i, j][:, None, None]
         else:
-            cpg_in, cpg_out = cin // groups, cout // groups
-            dw = np.empty_like(w.data)
-            for gi in range(groups):
-                gm = g[gi * cpg_out:(gi + 1) * cpg_out].reshape(cpg_out, -1)
-                dw[gi * cpg_out:(gi + 1) * cpg_out] = (gm @ cols[gi]).reshape(cpg_out, cpg_in, k, k)
-                dcol = (gm.T @ w.data[gi * cpg_out:(gi + 1) * cpg_out].reshape(cpg_out, -1))
-                dpatch = dcol.reshape(ho, wo, cpg_in, k, k).transpose(2, 0, 1, 3, 4)
-                tgt = dpad[gi * cpg_in:(gi + 1) * cpg_in]
-                for i in range(k):
-                    for j in range(k):
-                        tgt[:, i:i + stride * (ho - 1) + 1:stride,
-                            j:j + stride * (wo - 1) + 1:stride] += dpatch[:, :, :, i, j]
-            w.accumulate_grad(dw, owned=True)
+            gm = g.reshape(cout, -1)
+            w.accumulate_grad((gm @ col).reshape(w.data.shape), owned=True)
+            dcol = gm.T @ w.data.reshape(cout, -1)
+            dpatch = dcol.reshape(ho, wo, cin, k, k).transpose(2, 0, 1, 3, 4)
+        for i in range(k):
+            for j in range(k):
+                if depthwise:
+                    d = g * w.data[:, 0, i, j][:, None, None]
+                else:
+                    d = dpatch[:, :, :, i, j]
+                dpad[:, i:i + stride * (ho - 1) + 1:stride,
+                     j:j + stride * (wo - 1) + 1:stride] += d
         if padding:
             dpad = dpad[:, padding:-padding, padding:-padding]
         t.accumulate_grad(dpad, owned=True)

@@ -75,12 +75,27 @@ class VariantConfig:
             raise ConfigError(f"unknown head type {self.head}")
         if self.inter_stage not in INTER_STAGE:
             raise ConfigError(f"unknown inter-stage op {self.inter_stage}")
+        if self.pe == "rel" and self.pattern != "urm":
+            # only the joint-attention blocks read a relative-bias table
+            raise ConfigError("rel PE needs the urm pattern")
+        if self.embed_kernel < 1 or self.embed_padding < 0:
+            raise ConfigError("embed kernel must be positive and padding "
+                              "non-negative")
         for i, st in enumerate(self.stages):
             last = i == len(self.stages) - 1
             if st.operator not in STAGE_OPERATORS:
                 raise ConfigError(f"unknown stage operator {st.operator}")
-            if st.blocks < 1 or st.channels < 1:
-                raise ConfigError("stage blocks/channels must be positive")
+            if st.blocks < 1 or st.channels < 1 or st.heads < 1:
+                raise ConfigError("stage blocks/channels/heads must be positive")
+            width = st.channels * st.mlp_ratio
+            if not (np.isfinite(width) and width >= 1):
+                raise ConfigError(
+                    f"stage {i + 1}: mlp_ratio {st.mlp_ratio} must be finite "
+                    f"and give an MLP width of at least 1")
+            if st.sr_ratio < 1 or (st.sr_ratio != 1 and st.operator != "srg"):
+                raise ConfigError(
+                    f"stage {i + 1}: sr_ratio {st.sr_ratio} needs an srg stage "
+                    f"and must be >= 1")
             if st.operator != "mlp-local" and st.channels % st.heads:
                 raise ConfigError(
                     f"stage {i + 1}: channels {st.channels} not divisible "
@@ -90,8 +105,11 @@ class VariantConfig:
                 raise ConfigError("final stage must be an attention stage")
         if self.pattern == "urm" and self.stages[-1].operator != "vg":
             raise ConfigError("joint self-attention pattern needs a VG final stage")
-        if self.search_size % TOTAL_STRIDE or self.template_size % TOTAL_STRIDE:
-            raise ConfigError("input sizes must be multiples of the total stride")
+        if (min(self.search_size, self.template_size) < TOTAL_STRIDE
+                or self.search_size % TOTAL_STRIDE
+                or self.template_size % TOTAL_STRIDE):
+            raise ConfigError(
+                "input sizes must be positive multiples of the total stride")
 
     def grid_side(self, image_side: int, stage: int) -> int:
         side = (image_side + 2 * self.embed_padding
@@ -472,14 +490,27 @@ class MimPretrainer:
     tokens); masked tokens are dropped at the final-stage entry. A small
     joint-attention decoder with a learned mask token reconstructs the
     per-patch-normalized pixels of the masked patches.
+
+    Final stages with spatial-reduction attention are refused: the
+    visible tokens no longer form a grid their kv reduction can pool.
     """
 
-    def __init__(self, model: Model, channels: int = 256, blocks: int = 2,
-                 heads: int = 8, seed: int = 0):
+    DECODER_CHANNELS = 256
+    DECODER_BLOCKS = 2
+    DECODER_HEADS = 8
+
+    def __init__(self, model: Model, seed: int = 0):
+        final = model.cfg.stages[-1]
+        if final.sr_ratio > 1:
+            raise ConfigError(
+                f"masked pretraining drops tokens, so no kv grid is left to "
+                f"reduce; {model.cfg.name} uses SR attention "
+                f"(sr_ratio {final.sr_ratio}) in its final stage")
         self.model = model
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
-        c_enc = model.cfg.stages[-1].channels
+        c_enc = final.channels
+        channels = self.DECODER_CHANNELS
         self.grid = model.cfg.search_size // TOTAL_STRIDE
         self.patch_dim = 3 * TOTAL_STRIDE * TOTAL_STRIDE
         add = self.store.add
@@ -488,8 +519,8 @@ class MimPretrainer:
         self.proj_b = add("proj.b", np.zeros(channels, dtype=np.float32))
         self.mask_token = add("mask_token", trunc_normal(rng, (1, channels)))
         self.blocks = [
-            UrmLayer(self.store, f"dec{i}", rng, channels, heads)
-            for i in range(blocks)
+            UrmLayer(self.store, f"dec{i}", rng, channels, self.DECODER_HEADS)
+            for i in range(self.DECODER_BLOCKS)
         ]
         self.ln = LayerNormParams(self.store, "dec_ln", channels)
         # small output projection: untrained reconstruction stays near
@@ -547,22 +578,6 @@ class MimPretrainer:
         target = self.patch_targets(image.data)
         diff = ad.add(ad.take_rows(pred, masked), -target[masked])
         return ad.mean(diff * diff)
-
-
-def mim_pretrain_step(model: Model, pretrainer: MimPretrainer, images,
-                      mask_ratio: float, rng: np.random.Generator) -> Tensor:
-    """Mean masked-reconstruction loss over a batch; gradients populated."""
-    if pretrainer.model is not model:
-        raise ConfigError("pretrainer was built for a different model")
-    model.store.zero_grad()
-    pretrainer.store.zero_grad()
-    losses = [pretrainer.loss(img, mask_ratio, rng) for img in images]
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ad.add(total, extra)
-    total = ad.mul(total, 1.0 / len(losses))
-    ad.backward(total)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ from .layers import (
     FrmLayer, TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps,
     segment_mask,
 )
-from .loss import total_loss
-from .optim import AdamW, clip_grad_norm
 
 # published parameter counts (millions) for the named variants
 REFERENCE_PARAMS_M = {
@@ -256,22 +254,13 @@ def cmd_train(args, out):
 
 def cmd_pretrain_mim(args, out):
     model = _build_model(args)
-    seqs = hn.load_dataset(args.data)
     pre = bb.MimPretrainer(model, seed=args.seed)
-    opt_enc = AdamW(model.store, lr=args.lr, weight_decay=1e-4, strict=False)
-    opt_dec = AdamW(pre.store, lr=args.lr, weight_decay=1e-4)
-    rng = np.random.default_rng(args.seed)
-    for step in range(args.steps):
-        seq = seqs[int(rng.integers(0, len(seqs)))]
-        _, search, _ = hn.sample_pair(seq, model.cfg, rng, jitter=True)
-        loss = bb.mim_pretrain_step(model, pre, [Tensor(search)],
-                                    args.mask_ratio, rng)
-        clip_grad_norm(model.store, 1.0)
-        clip_grad_norm(pre.store, 1.0)
-        opt_enc.step()
-        opt_dec.step()
-        if step % args.log_every == 0 or step == args.steps - 1:
-            out.write(f"step {step} recon={loss.item():.6f}\n")
+    seqs = hn.load_dataset(args.data)
+    hn.pretrain_loop(pre, seqs, steps=args.steps, lr=args.lr,
+                     mask_ratio=args.mask_ratio, seed=args.seed,
+                     log_every=args.log_every,
+                     log_fn=lambda step, recon: out.write(
+                         f"step {step} recon={recon:.6f}\n"))
     bb.save_checkpoint(model, args.out)
     out.write(f"saved {args.out}\n")
     return 0

@@ -20,7 +20,7 @@ from scipy.ndimage import uniform_filter
 from . import autodiff as ad
 from . import tracker as trk
 from .autodiff import Tensor
-from .backbone import Model
+from .backbone import MimPretrainer, Model
 from .errors import ConfigError, ContractError, FormatError, NumericError
 from .loss import total_loss
 from .optim import AdamW, clip_grad_norm
@@ -38,6 +38,9 @@ BRIGHTNESS_JITTER = 0.10
 # recover from once the target drifts
 TRANSLATION_JITTER = 0.22  # fraction of the search-crop side
 SCALE_JITTER = 0.15
+# global L2 bound on gradients: single-sample steps spike hard enough to
+# saturate the score head for good
+GRAD_CLIP = 1.0
 
 
 @dataclass
@@ -206,16 +209,25 @@ def write_ppm(path, image: np.ndarray):
         fh.write(image.transpose(1, 2, 0).tobytes())
 
 
+# header fields are separated by whitespace and "#" comments that run to
+# the end of the line; one whitespace byte ends the header
+_PPM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(rb"P6" + _PPM_SEP + rb"(\d{1,9})" + _PPM_SEP
+                         + rb"(\d{1,9})" + _PPM_SEP + rb"(\d{1,9})\s")
+
+
 def read_ppm(path) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}")
-    m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    m = _PPM_HEADER.match(raw)
     if not m:
         raise FormatError(f"{path} is not a binary PPM (P6) file")
     w, h, maxval = (int(m.group(i)) for i in (1, 2, 3))
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported")
     pixels = raw[m.end():]
@@ -293,15 +305,12 @@ def sample_pair(seq: SyntheticSequence, model_cfg, rng,
     n = len(seq.frames)
     ti = int(rng.integers(0, n))
     si = int(rng.integers(0, n))
-    tx, ty, tw, th = seq.gt[ti]
     t_frame = seq.frames[ti].astype(np.float32) / 255.0
-    t_side = 2.0 * np.sqrt(tw * th)
-    template, _ = trk.crop_region(t_frame, (tx + tw / 2, ty + th / 2), t_side,
-                                  model_cfg.template_size)
+    template = trk.crop_template(t_frame, seq.gt[ti], model_cfg.template_size)
 
     gx, gy, gw, gh = seq.gt[si]
     s_frame = seq.frames[si].astype(np.float32) / 255.0
-    side = 4.0 * np.sqrt(gw * gh)
+    side = trk.SEARCH_CONTEXT * np.sqrt(gw * gh)
     cx, cy = gx + gw / 2, gy + gh / 2
     if jitter:
         side *= 1.0 + float(rng.uniform(-SCALE_JITTER, SCALE_JITTER))
@@ -327,18 +336,16 @@ class TrainResult:
 
 def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
                weight_decay: float = 1e-4, seed: int = 42,
-               jitter: bool = True, log_every: int = 50,
+               log_every: int = 50,
                log_fn: Optional[Callable] = None,
                fixed_sample: Optional[tuple] = None,
-               stop_fn: Optional[Callable] = None,
-               grad_clip: float = 1.0) -> TrainResult:
-    """AdamW training over sampled pairs; aborts on non-finite loss.
+               stop_fn: Optional[Callable] = None) -> TrainResult:
+    """AdamW training over jittered sampled pairs; aborts on non-finite loss.
 
     fixed_sample, when given, overrides sampling entirely (overfit mode).
     stop_fn(step, parts), when given, ends training early after the step
     whose recorded losses make it return True. Gradients are clipped to
-    a global L2 norm of grad_clip (single-sample steps spike hard enough
-    to saturate the score head for good); pass 0 to disable.
+    a global L2 norm of GRAD_CLIP.
     """
     rng = np.random.default_rng(seed)
     opt = AdamW(model.store, lr=lr, weight_decay=weight_decay)
@@ -348,8 +355,7 @@ def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
             template, search, gt = fixed_sample
         else:
             seq = sequences[int(rng.integers(0, len(sequences)))]
-            template, search, gt = sample_pair(seq, model.cfg, rng,
-                                               jitter=jitter)
+            template, search, gt = sample_pair(seq, model.cfg, rng)
         _, f_x = model.forward_pair(Tensor(template), Tensor(search))
         out = model.head(f_x)
         loss, parts = total_loss(out, gt)
@@ -357,8 +363,7 @@ def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
             raise NumericError(f"non-finite loss at step {step}")
         model.store.zero_grad()
         ad.backward(loss)
-        if grad_clip:
-            clip_grad_norm(model.store, grad_clip)
+        clip_grad_norm(model.store, GRAD_CLIP)
         opt.step()
         result.losses.append(parts["total"])
         result.components.append(parts)
@@ -367,6 +372,40 @@ def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
         if stop_fn is not None and stop_fn(step, parts):
             break
     return result
+
+
+def pretrain_loop(pretrainer: MimPretrainer, sequences, steps: int,
+                  lr: float, mask_ratio: float, seed: int,
+                  log_every: int = 50,
+                  log_fn: Optional[Callable] = None) -> list:
+    """Masked-image pretraining over jittered search crops.
+
+    The encoder (pretrainer.model) and the decoder each get an AdamW at
+    weight decay 1e-4 and are clipped to GRAD_CLIP apart. Returns the
+    reconstruction loss of every step; log_fn(step, loss) is called
+    every log_every steps and at the last.
+    """
+    model = pretrainer.model
+    rng = np.random.default_rng(seed)
+    # the encoder's head gets no gradient here, so it is skipped
+    opt_enc = AdamW(model.store, lr=lr, weight_decay=1e-4, strict=False)
+    opt_dec = AdamW(pretrainer.store, lr=lr, weight_decay=1e-4)
+    losses = []
+    for step in range(steps):
+        seq = sequences[int(rng.integers(0, len(sequences)))]
+        _, search, _ = sample_pair(seq, model.cfg, rng)
+        model.store.zero_grad()
+        pretrainer.store.zero_grad()
+        loss = pretrainer.loss(Tensor(search), mask_ratio, rng)
+        ad.backward(loss)
+        clip_grad_norm(model.store, GRAD_CLIP)
+        clip_grad_norm(pretrainer.store, GRAD_CLIP)
+        opt_enc.step()
+        opt_dec.step()
+        losses.append(loss.item())
+        if log_fn is not None and (step % log_every == 0 or step == steps - 1):
+            log_fn(step, losses[-1])
+    return losses
 
 
 # ---------------------------------------------------------------------------

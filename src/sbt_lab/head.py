@@ -67,15 +67,16 @@ def _offset_scale(h: int, w: int) -> np.ndarray:
 class ConvHead:
     """Three conv-norm-relu blocks per branch, then 1x1 projection + sigmoid.
 
-    Normalization is per-group (8 groups) rather than batch statistics,
-    which are unreliable at the batch sizes used here.
+    Normalization is per-group (NORM_GROUPS groups) rather than batch
+    statistics, which are unreliable at the batch sizes used here.
     """
 
     BRANCHES = (("score", 1), ("offset", 2), ("size", 2))
+    NORM_GROUPS = 8
 
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
-                 hidden: int = 128, groups: int = 8):
-        self.channels, self.hidden, self.groups = channels, hidden, groups
+                 hidden: int = 128):
+        self.channels, self.hidden = channels, hidden
         self._layers: dict = {}
         for branch, out_ch in self.BRANCHES:
             convs = []
@@ -101,7 +102,7 @@ class ConvHead:
         x = img
         for w, b, gamma, beta in convs:
             x = ad.conv2d(x, w, b, stride=1, padding=1)
-            x = ad.relu(group_norm(x, gamma, beta, groups=self.groups))
+            x = ad.relu(group_norm(x, gamma, beta, groups=self.NORM_GROUPS))
         return ad.sigmoid(ad.conv2d(x, proj_w, proj_b, stride=1, padding=0))
 
     def __call__(self, f_x: TokenMap) -> HeadOutput:
@@ -131,14 +132,15 @@ class MixMlpHead:
     """
 
     BRANCHES = (("score", 1), ("offset", 2), ("size", 2))
+    BLOCKS = 3
 
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
-                 tokens: int, blocks: int = 3):
-        self.channels, self.tokens, self.blocks = channels, tokens, blocks
+                 tokens: int):
+        self.channels, self.tokens = channels, tokens
         self._mix = []
         # the trunk has no normalization, so fan-in scaled init is needed
         # to keep activations from vanishing across the stacked blocks
-        for i in range(blocks):
+        for i in range(self.BLOCKS):
             tag = f"{prefix}.block{i}"
             self._mix.append((
                 store.add(f"{tag}.cm_w", trunc_normal(
@@ -189,7 +191,7 @@ class MixMlpHead:
 
     def flops(self, length: int) -> int:
         c, l = self.channels, self.tokens
-        total = self.blocks * (2 * l * c * c + 2 * c * l * l)
+        total = self.BLOCKS * (2 * l * c * c + 2 * c * l * l)
         for _, out_ch in self.BRANCHES:
             total += 2 * l * c * out_ch
         return total

@@ -17,9 +17,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import Model
+from .backbone import TOTAL_STRIDE, Model
 from .errors import ContractError, NumericError
 from .head import decode_box
+
+# crop side over the target's geometric-mean side sqrt(w * h); training
+# pairs and online tracking share both
+TEMPLATE_CONTEXT = 2.0
+SEARCH_CONTEXT = 4.0
 
 
 @dataclass
@@ -27,8 +32,6 @@ class TrackerConfig:
     window_weight: float = 0.45
     update_threshold: float = 0.6
     update_interval: int = 20
-    gamma_z: float = 2.0
-    gamma_x: float = 4.0
     size_smoothing: float = 0.7  # weight on the new prediction; 1 disables
     temporal: bool = False
 
@@ -125,6 +128,14 @@ def crop_region(frame: np.ndarray, center: tuple, side: float,
     return patch.astype(np.float32), aff
 
 
+def crop_template(frame: np.ndarray, box, out_size: int) -> np.ndarray:
+    """Template patch centred on box (x, y, w, h), with TEMPLATE_CONTEXT."""
+    x, y, w, h = box
+    side = TEMPLATE_CONTEXT * np.sqrt(w * h)
+    patch, _ = crop_region(frame, (x + w / 2.0, y + h / 2.0), side, out_size)
+    return patch
+
+
 def _check_box_in_frame(box, frame_shape):
     x, y, w, h = box
     _, fh, fw = frame_shape
@@ -147,7 +158,7 @@ class TrackerState:
         self.prev_box = tuple(float(v) for v in box)
         self.frame_index = 0
         self.last_update_frame = 0
-        grid = model.cfg.search_size // 16
+        grid = model.cfg.search_size // TOTAL_STRIDE
         self.hanning = hanning_2d(grid, grid)
         with ad.no_grad():
             self.template_feat = model.encode_early(Tensor(template_patch),
@@ -174,12 +185,10 @@ def init(frame: np.ndarray, box, model: Model,
     """Start tracking from a frame and its target box (x, y, w, h)."""
     config = config or TrackerConfig()
     _check_box_in_frame(box, frame.shape)
-    x, y, w, h = (float(v) for v in box)
-    side = config.gamma_z * np.sqrt(w * h)
-    patch, _ = crop_region(frame, (x + w / 2.0, y + h / 2.0), side,
-                           model.cfg.template_size)
+    box = tuple(float(v) for v in box)
+    patch = crop_template(frame, box, model.cfg.template_size)
     dyn = patch.copy() if config.temporal else None
-    return TrackerState(model, config, patch, dyn, (x, y, w, h))
+    return TrackerState(model, config, patch, dyn, box)
 
 
 def track_step(state: TrackerState, frame: np.ndarray) -> tuple:
@@ -187,7 +196,7 @@ def track_step(state: TrackerState, frame: np.ndarray) -> tuple:
     cfg = state.config
     model = state.model
     px, py, pw, ph = state.prev_box
-    side = cfg.gamma_x * np.sqrt(pw * ph)
+    side = SEARCH_CONTEXT * np.sqrt(pw * ph)
     patch, aff = crop_region(frame, state.prev_center, side,
                              model.cfg.search_size)
     with ad.no_grad():
@@ -230,11 +239,8 @@ def maybe_update_template(state: TrackerState, frame: np.ndarray,
         return False
     if state.frame_index - state.last_update_frame < cfg.update_interval:
         return False
-    x, y, w, h = state.prev_box
-    side = cfg.gamma_z * np.sqrt(w * h)
-    patch, _ = crop_region(frame, (x + w / 2.0, y + h / 2.0), side,
-                           state.model.cfg.template_size)
-    state.set_dyn_template(patch)
+    state.set_dyn_template(crop_template(frame, state.prev_box,
+                                         state.model.cfg.template_size))
     state.last_update_frame = state.frame_index
     return True
 

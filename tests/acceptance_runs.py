@@ -41,6 +41,7 @@ OVERFIT_LR = 1e-3
 MIM_STEPS = 500
 MIM_MASK_RATIO = 0.75
 MIM_LR = 3e-4
+MIM_SEED = 11
 SMOOTH_WINDOW = 50
 
 # set by the script entry point; imported, a missing artifact raises
@@ -161,26 +162,11 @@ def mim_result():
         train = corpus("train")
         model = bb.build_variant(VARIANT, seed=42)
         pre = bb.MimPretrainer(model, seed=0)
-        from sbt_lab.autodiff import Tensor
-        from sbt_lab.optim import AdamW, clip_grad_norm
-        opt_enc = AdamW(model.store, lr=MIM_LR, weight_decay=1e-4,
-                        strict=False)
-        opt_dec = AdamW(pre.store, lr=MIM_LR, weight_decay=1e-4)
-        rng = np.random.default_rng(11)
-        recon = []
         t0 = time.time()
-        for step in range(MIM_STEPS):
-            seq = train[int(rng.integers(0, len(train)))]
-            _, search, _ = hn.sample_pair(seq, model.cfg, rng)
-            loss = bb.mim_pretrain_step(model, pre, [Tensor(search)],
-                                        MIM_MASK_RATIO, rng)
-            clip_grad_norm(model.store, 1.0)
-            clip_grad_norm(pre.store, 1.0)
-            opt_enc.step()
-            opt_dec.step()
-            recon.append(loss.item())
-            if step % 25 == 0 or step == MIM_STEPS - 1:
-                _log(f"mim step {step} recon={recon[-1]:.4f}")
+        recon = hn.pretrain_loop(pre, train, steps=MIM_STEPS, lr=MIM_LR,
+                                 mask_ratio=MIM_MASK_RATIO, seed=MIM_SEED,
+                                 log_every=25, log_fn=lambda s, r: _log(
+                                     f"mim step {s} recon={r:.4f}"))
         mim_elapsed = time.time() - t0
         bb.save_checkpoint(model, _path("mim.sbtc"))
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sbt_lab.autodiff as ad
 from sbt_lab import backbone as bb
+from sbt_lab import harness as hn
 from sbt_lab.autodiff import tensor
-from sbt_lab.errors import ConfigError, DimensionError, FormatError
+from sbt_lab.errors import ConfigError, DimensionError, FormatError, SbtError
 from sbt_lab.layers import concat_maps
 
 
@@ -229,6 +231,60 @@ class TestCostCounting:
         assert a.flops(l, l) == expect
 
 
+# edge values per key; models stay small (channels <= 16, blocks <= 2,
+# sides <= 64) so that no draw allocates a large model
+TOP_EDGES = {
+    "embed_kernel": (-1, 0, 1, 16), "embed_stride": (-4, 0, 4, 8, 16),
+    "embed_padding": (-1, 0, 3), "inter_stage": bb.INTER_STAGE,
+    "pe": bb.PE_MODES, "pattern": bb.PATTERNS, "head": bb.HEADS,
+    "template_size": (-16, 0, 8, 16, 17, 32),
+    "search_size": (-16, 0, 16, 17, 32, 64),
+}
+STAGE_EDGES = {
+    "operator": bb.STAGE_OPERATORS, "channels": (-1, 0, 1, 3, 16),
+    "blocks": (-1, 0, 1, 2), "heads": (-1, 0, 1, 3),
+    "mlp_ratio": ("nan", "inf", "-inf", "-1", "0", "1e-9", "0.5"),
+    "sr_ratio": (-1, 0, 1, 2, 4),
+}
+
+
+@st.composite
+def small_config_texts(draw):
+    """A valid small config with up to three keys set to edge values."""
+    pick = lambda vals: draw(st.sampled_from(vals))
+    n = draw(st.integers(1, 3))
+    pattern = pick(bb.PATTERNS)
+    top = {
+        "embed_kernel": 16 // 2 ** (n - 1), "embed_stride": 16 // 2 ** (n - 1),
+        "inter_stage": pick(bb.INTER_STAGE),
+        "pe": pick(("abs", "rel", "cond", "none") if pattern == "urm"
+                   else ("abs", "cond", "none")),
+        "pattern": pattern, "head": pick(bb.HEADS),
+        "template_size": pick((16, 32)), "search_size": pick((32, 64)),
+    }
+    stages = []
+    for i in range(n):
+        if i == n - 1:
+            op = "vg" if pattern == "urm" else pick(("vg", "srg"))
+        else:
+            op = pick(bb.STAGE_OPERATORS)
+        stages.append({"operator": op, "channels": pick((4, 8, 16)),
+                       "blocks": pick((1, 2)), "heads": pick((1, 2)),
+                       "mlp_ratio": pick(("0.5", "2")),
+                       "sr_ratio": pick((1, 2)) if op == "srg" else 1})
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.integers(0, n))
+        target, edges = (top, TOP_EDGES) if where == n else \
+            (stages[where], STAGE_EDGES)
+        key = pick(sorted(edges))
+        target[key] = pick(edges[key])
+    lines = [f"{k} = {v}" for k, v in top.items()]
+    for i, stage in enumerate(stages):
+        lines.append(f"[stage{i + 1}]")
+        lines += [f"{k} = {v}" for k, v in stage.items()]
+    return "\n".join(lines) + "\n"
+
+
 class TestConfigParsing:
     GOOD = """
 name = demo
@@ -292,6 +348,33 @@ heads = 2
     def test_comment_and_blank_lines_ok(self):
         cfg = bb.parse_variant_config("# header\n\n" + self.GOOD)
         assert cfg.search_size == 64
+
+    @pytest.mark.parametrize("old,new", [
+        # rel PE without joint attention would be silently ignored
+        ("pattern = urm", "pattern = interleave"),
+        # SR outside an srg stage would run unreduced
+        ("heads = 2", "heads = 2\nsr_ratio = 2"),
+        ("heads = 2", "heads = 0"),
+        ("mlp_ratio = 2.0", "mlp_ratio = nan"),
+        ("mlp_ratio = 2.0", "mlp_ratio = inf"),
+        ("mlp_ratio = 2.0", "mlp_ratio = 0"),
+        ("mlp_ratio = 2.0", "mlp_ratio = -1"),
+        ("search_size = 64", "search_size = 0"),
+        ("template_size = 32", "template_size = 0"),
+        ("inter_stage = merge", "inter_stage = merge\nembed_padding = -1"),
+    ])
+    def test_ignored_or_crashing_values_rejected(self, old, new):
+        with pytest.raises(ConfigError):
+            bb.parse_variant_config(self.GOOD.replace(old, new))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(small_config_texts())
+    def test_edge_values_raise_only_sbt_errors(self, text):
+        try:
+            bb.build_variant(bb.parse_variant_config(text))
+        except SbtError:
+            pass
 
 
 class TestCheckpoints:
@@ -385,15 +468,19 @@ class TestMim:
     def test_step_populates_gradients(self):
         model = bb.build_variant(tiny_urm_config())
         pre = bb.MimPretrainer(model)
-        imgs = [tensor(np.random.default_rng(s).normal(size=(3, 64, 64)))
-                for s in (1, 2)]
-        loss = bb.mim_pretrain_step(model, pre, imgs, 0.75,
-                                    np.random.default_rng(0))
-        assert np.isfinite(loss.item())
+        seqs = [hn.gen_sequence(s, length=3, frame_size=64) for s in (1, 2)]
+        losses = hn.pretrain_loop(pre, seqs, steps=1, lr=1e-4,
+                                  mask_ratio=0.75, seed=0)
+        assert len(losses) == 1 and np.isfinite(losses[0])
         assert any(p.grad is not None and np.abs(p.grad).max() > 0
                    for _, p in model.store.items())
         assert any(p.grad is not None and np.abs(p.grad).max() > 0
                    for _, p in pre.store.items())
+
+    def test_sr_final_stage_rejected(self):
+        # kv reduction pools a grid; the visible tokens form none
+        with pytest.raises(ConfigError, match="drops tokens"):
+            bb.MimPretrainer(bb.build_variant(tiny_interleave_config()))
 
     def test_patch_targets_normalized(self):
         pre = bb.MimPretrainer(self.wide_grid_model())

@@ -276,6 +276,28 @@ class TestPretrainMim:
         model = bb.build_variant(bb.load_variant_file(tiny_cfg))
         bb.load_checkpoint(ckpt, model)
 
+    def test_byte_identical_repeats(self, tiny_cfg, dataset, tmp_path):
+        runs = []
+        for sub in ("a.sbtc", "b.sbtc"):
+            ckpt = str(tmp_path / sub)
+            code, text = run(["pretrain-mim", "--data", dataset,
+                              "--variant-file", tiny_cfg, "--steps", "2",
+                              "--out", ckpt, "--seed", "3", "--log-every", "1"])
+            assert code == 0
+            log = text.replace(ckpt, "<out>")
+            runs.append((log, open(ckpt, "rb").read()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].count(" recon=") == 2
+
+    def test_sr_final_stage_exit_one(self, dataset, tmp_path, capsys):
+        code, text = run(["pretrain-mim", "--data", dataset, "--variant",
+                          "hi-sbt", "--steps", "1",
+                          "--out", str(tmp_path / "x.sbtc")])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "drops tokens" in err
+        assert not (tmp_path / "x.sbtc").exists()
+
     def test_bad_mask_ratio_exit_one(self, tiny_cfg, dataset, tmp_path):
         code, _ = run(["pretrain-mim", "--data", dataset, "--variant-file",
                        tiny_cfg, "--steps", "1", "--mask-ratio", "1.5",

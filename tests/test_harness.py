@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sbt_lab import harness as hn
 from sbt_lab import tracker as trk
@@ -106,6 +107,46 @@ class TestPpm:
         p.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(FormatError):
             hn.read_ppm(p)
+
+    def test_header_comments_accepted(self, tmp_path):
+        p = tmp_path / "c.ppm"
+        p.write_bytes(b"P6\n# made by hand\n2 1 # size\n#\n255\n"
+                      + bytes(range(6)))
+        np.testing.assert_array_equal(
+            hn.read_ppm(p), np.arange(6, dtype=np.uint8).reshape(1, 2, 3)
+            .transpose(2, 0, 1))
+
+    def test_zero_width_rejected(self, tmp_path):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(b"P6\n0 4\n255\n")
+        with pytest.raises(FormatError):
+            hn.read_ppm(p)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mangled_files_raise_only_format_error(self, tmp_path, data):
+        sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# c\n",
+                               b" #\r", b"#x"])
+        w, h = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        raw = bytearray(b"P6" + data.draw(sep) + b"%d" % w + data.draw(sep)
+                        + b"%d" % h + data.draw(sep) + b"255\n"
+                        + data.draw(st.binary(min_size=3 * w * h,
+                                              max_size=3 * w * h)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(raw)))
+            junk = data.draw(st.binary(max_size=3))
+            raw[at:at + data.draw(st.integers(0, 2))] = junk
+        if data.draw(st.booleans()):
+            raw = raw[:data.draw(st.integers(0, len(raw)))]
+        p = tmp_path / "m.ppm"
+        p.write_bytes(bytes(raw))
+        try:
+            img = hn.read_ppm(p)
+        except FormatError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[0] == 3
 
 
 class TestSequenceIo:

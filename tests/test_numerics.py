@@ -128,6 +128,10 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             conv2d(tensor(np.ones((3, 4, 4))), tensor(np.ones((4, 2, 3, 3))),
                    None, groups=2)
+        # well-formed grouping, but neither dense nor depthwise
+        with pytest.raises(DimensionError):
+            conv2d(tensor(np.ones((4, 4, 4))), tensor(np.ones((4, 2, 3, 3))),
+                   None, groups=2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_depthwise_equals_per_channel(self, seed):
@@ -143,10 +147,12 @@ class TestConv2d:
                             tensor(b[ci:ci + 1]), stride=1, padding=1)
             np.testing.assert_allclose(out.data[ci], single.data[0], atol=1e-5)
 
-    def test_grouped_matches_naive_loop(self):
+    @pytest.mark.parametrize("cin,cout,groups", [(4, 6, 1), (4, 4, 4)],
+                             ids=["dense", "depthwise"])
+    def test_grouped_matches_naive_loop(self, cin, cout, groups):
         # brute-force cross-correlation oracle
         rng = np.random.default_rng(11)
-        cin, cout, groups, k, s, p = 4, 6, 2, 3, 2, 1
+        k, s, p = 3, 2, 1
         h = w_ = 7
         x = rng.normal(size=(cin, h, w_))
         w = rng.normal(size=(cout, cin // groups, k, k))

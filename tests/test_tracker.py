@@ -91,7 +91,7 @@ class TestInit:
         model = make_model()
         frame = textured_frame(4, 128)
         state = trk.init(frame, (48, 48, 32, 32), model)
-        # gamma_z = 2 -> 64 px crop resized to the template input size
+        # TEMPLATE_CONTEXT = 2 -> 64 px crop resized to the template input size
         assert state.template_patch.shape == (3, 32, 32)
         assert state.prev_box == (48.0, 48.0, 32.0, 32.0)
         assert state.dyn_feat is None
