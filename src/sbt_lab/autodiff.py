@@ -707,10 +707,14 @@ def grad_check(f: Callable[[ParamStore], Tensor], params: ParamStore,
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Zero-mean normal truncated at +-2 sigma (resampling)."""
     out = rng.standard_normal(shape)
-    bad = np.abs(out) > 2.0
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > 2.0
+    flat = out.reshape(-1)
+    # each round redraws only the values the last round rejected, in
+    # index order
+    bad = np.flatnonzero(np.abs(flat) > 2.0)
+    while bad.size:
+        draw = rng.standard_normal(bad.size)
+        flat[bad] = draw
+        bad = bad[np.abs(draw) > 2.0]
     return (out * std).astype(DEFAULT_DTYPE)
 
 

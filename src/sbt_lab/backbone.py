@@ -9,6 +9,7 @@ attention), followed by a prediction head.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -110,6 +111,14 @@ class VariantConfig:
                 or self.template_size % TOTAL_STRIDE):
             raise ConfigError(
                 "input sizes must be positive multiples of the total stride")
+        for size in (self.template_size, self.search_size):
+            # later stages halve this grid, so it must be size / stride
+            if self.grid_side(size, 0) * self.embed_stride != size:
+                raise ConfigError(
+                    f"embed kernel {self.embed_kernel} with padding "
+                    f"{self.embed_padding} gives a {self.grid_side(size, 0)}-"
+                    f"token grid side for input size {size}, not "
+                    f"{size // self.embed_stride}")
 
     def grid_side(self, image_side: int, stage: int) -> int:
         side = (image_side + 2 * self.embed_padding
@@ -605,10 +614,12 @@ def save_checkpoint(m: Model, path):
         fh.write(bytes(buf))
 
 
-def _read(raw: bytes, off: int, n: int):
-    if off + n > len(raw):
+def _unpack(fmt: str, body, off: int):
+    """struct.unpack_from at off; a body too short is a truncated file."""
+    end = off + struct.calcsize(fmt)
+    if end > len(body):
         raise FormatError("checkpoint truncated")
-    return raw[off:off + n], off + n
+    return struct.unpack_from(fmt, body, off), end
 
 
 def load_checkpoint(path, m: Model) -> Model:
@@ -620,33 +631,35 @@ def load_checkpoint(path, m: Model) -> Model:
         raise FormatError(f"cannot read checkpoint {path}: {e}")
     if len(raw) < 16:
         raise FormatError("checkpoint truncated")
-    stored_crc = struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(raw[:-4]) != stored_crc:
+    # parse through a view: only each parameter's final astype copies
+    body = memoryview(raw)[:-4]
+    (stored_crc,) = struct.unpack_from("<I", raw, len(body))
+    if zlib.crc32(body) != stored_crc:
         raise FormatError("checkpoint CRC mismatch")
-    body = raw[:-4]
-    off = 0
-    magic, off = _read(body, off, 4)
+    (magic,), off = _unpack("<4s", body, 0)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}")
-    header, off = _read(body, off, 8)
-    version, count = struct.unpack("<II", header)
+    (version, count), off = _unpack("<II", body, off)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
-        b, off = _read(body, off, 2)
-        nlen = struct.unpack("<H", b)[0]
-        nb, off = _read(body, off, nlen)
-        name = nb.decode("utf-8")
-        b, off = _read(body, off, 2)
-        dtype_tag, rank = struct.unpack("<BB", b)
+        (nlen,), off = _unpack("<H", body, off)
+        (nb,), off = _unpack(f"<{nlen}s", body, off)
+        try:
+            name = nb.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"checkpoint parameter name {nb!r} is not UTF-8")
+        (dtype_tag, rank), off = _unpack("<BB", body, off)
         if dtype_tag != 0:
             raise FormatError(f"unknown dtype tag {dtype_tag} for {name}")
-        b, off = _read(body, off, 4 * rank)
-        shape = struct.unpack(f"<{rank}I", b)
-        size = int(np.prod(shape)) if rank else 1
-        b, off = _read(body, off, 4 * size)
-        state[name] = np.frombuffer(b, dtype="<f4").reshape(shape)
+        shape, off = _unpack(f"<{rank}I", body, off)
+        size = math.prod(shape)
+        if off + 4 * size > len(body):
+            raise FormatError("checkpoint truncated")
+        state[name] = np.frombuffer(body, dtype="<f4", count=size,
+                                    offset=off).reshape(shape)
+        off += 4 * size
     if off != len(body):
         raise FormatError("trailing bytes after checkpoint entries")
     names = set(m.store.names())

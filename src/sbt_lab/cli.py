@@ -59,7 +59,8 @@ def _add_variant_flags(p):
 def _add_tracker_flags(p):
     p.add_argument("--window-weight", type=float,
                    default=trk.TrackerConfig.window_weight,
-                   help="score-window mixing weight (default: %(default)s)")
+                   help="score-window mixing weight in [0, 1] "
+                        "(default: %(default)s)")
     p.add_argument("--temporal", action="store_true",
                    help="enable dynamic-template updates")
 
@@ -120,8 +121,9 @@ def cmd_variant_info(args, out):
         out.write(f"param_deviation {(params / 1e6 - ref) / ref:+.6f}\n")
     out.write(f"flops {flops}\n")
     out.write(f"flops_g {flops / 1e9:.6f}\n")
-    out.write("note flops count one multiply-accumulate as two operations; "
-              "tables counting fused MACs report about half this number\n")
+    out.write("note flops count one op per multiply-accumulate in the "
+              "attention projections and QK/AV products and two elsewhere, "
+              "so they read below the work executed\n")
     g_z = cfg.grid_side(cfg.template_size, len(cfg.stages) - 1)
     g_x = cfg.grid_side(cfg.search_size, len(cfg.stages) - 1)
     out.write(f"final_tokens template={g_z * g_z} search={g_x * g_x}\n")
@@ -267,15 +269,20 @@ def cmd_pretrain_mim(args, out):
 
 
 def _tracker_config(args):
+    # NaN fails both comparisons
+    if not 0.0 <= args.window_weight <= 1.0:
+        raise ConfigError(f"--window-weight must be a finite number in "
+                          f"[0, 1], got {args.window_weight}")
     return trk.TrackerConfig(window_weight=args.window_weight,
                              temporal=args.temporal)
 
 
 def cmd_track(args, out):
+    config = _tracker_config(args)
     model = _build_model(args)
     frames = _load_frames(args.video)
     box = _parse_box(args.init)
-    boxes = trk.track_frames(model, frames, box, _tracker_config(args))
+    boxes = trk.track_frames(model, frames, box, config)
     text = "".join(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n"
                    for i, (x, y, w, h) in enumerate([box] + boxes))
     out.write(text)
@@ -286,10 +293,12 @@ def cmd_track(args, out):
 
 
 def cmd_eval(args, out):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    config = _tracker_config(args)
     model = _build_model(args)
     seqs = hn.load_dataset(args.data)
-    metrics = hn.evaluate(model, seqs, config=_tracker_config(args),
-                          jobs=args.jobs)
+    metrics = hn.evaluate(model, seqs, config=config, jobs=args.jobs)
     report = hn.format_report(metrics)
     out.write(report)
     if args.out is not None:
@@ -382,7 +391,8 @@ def build_parser():
     p.add_argument("--checkpoint", default=None, help="trained weights")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sequences (default: %(default)s)")
+                   help="parallel sequences, >= 1; the BLAS threads are "
+                        "split among them (default: %(default)s)")
     _add_tracker_flags(p)
 
     return parser

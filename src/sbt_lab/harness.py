@@ -9,6 +9,9 @@ binary PPM frames plus a gt.csv.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
+import glob
 import os
 import re
 from dataclasses import dataclass, field
@@ -469,6 +472,48 @@ def run_tracker_on_sequence(model: Model, seq: SyntheticSequence,
     return trk.track_frames(model, seq.frames, seq.gt[0], config)
 
 
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS.
+
+    None when numpy was built against another BLAS or the symbols are
+    missing.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(workers: int):
+    """Split the process's BLAS threads evenly among `workers` pool threads.
+
+    Every pool thread calls the same multi-threaded BLAS, so without the
+    split the cores run workers * threads BLAS threads and thrash. The
+    count is process-wide: the previous value comes back on exit, also
+    when the body raises. Without numpy's OpenBLAS this does nothing.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    prev = get()
+    set_(max(1, prev // workers))
+    try:
+        yield
+    finally:
+        set_(prev)
+
+
 def evaluate(model: Model, sequences,
              config: Optional[trk.TrackerConfig] = None,
              jobs: int = 1,
@@ -476,7 +521,10 @@ def evaluate(model: Model, sequences,
     """Track every sequence and aggregate metrics.
 
     tracker_fn(seq) -> predicted boxes for frames 2..N overrides the
-    model-driven tracker (used for baseline comparisons).
+    model-driven tracker (used for baseline comparisons). jobs > 1
+    tracks sequences on a thread pool of at most jobs, max_threads() and
+    len(sequences) workers, which share the BLAS threads evenly; the
+    metrics do not depend on jobs.
     """
     for seq in sequences:
         if model is not None and tracker_fn is None:
@@ -494,11 +542,12 @@ def evaluate(model: Model, sequences,
             boxes = run_tracker_on_sequence(model, seq, config)
         return sequence_metrics(seq.name, boxes, seq.gt[1:])
 
-    jobs = max(1, min(jobs, max_threads()))
-    if jobs == 1:
+    workers = max(1, min(jobs, max_threads(), len(sequences)))
+    if workers == 1:
         per = [one(s) for s in sequences]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        with _blas_threads(workers), concurrent.futures.ThreadPoolExecutor(
+                max_workers=workers) as pool:
             per = list(pool.map(one, sequences))
     return aggregate(per)
 

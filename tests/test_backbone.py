@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,6 +365,8 @@ heads = 2
         ("search_size = 64", "search_size = 0"),
         ("template_size = 32", "template_size = 0"),
         ("inter_stage = merge", "inter_stage = merge\nembed_padding = -1"),
+        # a 13x13 embed grid, not 64 / 4: every forward would fail
+        ("embed_kernel = 4", "embed_kernel = 16"),
     ])
     def test_ignored_or_crashing_values_rejected(self, old, new):
         with pytest.raises(ConfigError):
@@ -410,13 +415,67 @@ class TestCheckpoints:
         path = tmp_path / "m.sbtc"
         bb.save_checkpoint(m, path)
         raw = bytearray(path.read_bytes())
-        import struct
-        import zlib
         raw[0:4] = b"NOPE"
         raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])))
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             bb.load_checkpoint(path, m)
+
+    @staticmethod
+    def pack(entries, magic=bb.CHECKPOINT_MAGIC, version=1, count=None,
+             tag=0, cut=0, trailing=b""):
+        """Checkpoint bytes with a valid CRC; entries are (name, array).
+
+        cut drops that many bytes from the end of the last entry.
+        """
+        buf = bytearray(magic)
+        buf += struct.pack("<II", version,
+                           len(entries) if count is None else count)
+        for name, arr in entries:
+            nb = name if isinstance(name, bytes) else name.encode("utf-8")
+            buf += struct.pack("<H", len(nb)) + nb
+            buf += struct.pack("<BB", tag, arr.ndim)
+            buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
+            buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        buf = buf[:len(buf) - cut] + trailing
+        return bytes(buf + struct.pack("<I", zlib.crc32(bytes(buf))))
+
+    def test_every_error_keeps_its_message(self, tmp_path):
+        m = bb.build_variant(tiny_urm_config())
+        entries = [(n, p.data) for n, p in m.store.items()]
+        first, arr = entries[0]
+        good = self.pack(entries)
+        flipped = bytearray(good)
+        flipped[20] ^= 0xFF
+        cases = [
+            (good[:12], "checkpoint truncated"),
+            (bytes(flipped), "checkpoint CRC mismatch"),
+            (good[:-40], "checkpoint CRC mismatch"),
+            (self.pack(entries, magic=b"NOPE"), "bad checkpoint magic b'NOPE'"),
+            (self.pack(entries, version=2), "unsupported checkpoint version 2"),
+            (self.pack(entries, count=len(entries) + 1),
+             "checkpoint truncated"),
+            (self.pack(entries, cut=8), "checkpoint truncated"),
+            (self.pack([(b"\xff", arr)]),
+             "checkpoint parameter name b'\\xff' is not UTF-8"),
+            (self.pack(entries, tag=1), f"unknown dtype tag 1 for {first}"),
+            (self.pack(entries, trailing=b"x"),
+             "trailing bytes after checkpoint entries"),
+            (self.pack(entries[1:]),
+             "checkpoint/config parameter set mismatch "
+             f"(missing ['{first}'], unexpected [])"),
+            (self.pack([(first, arr.reshape(-1))] + entries[1:]),
+             f"shape mismatch for {first}: checkpoint ({arr.size},) "
+             f"vs config {arr.shape}"),
+        ]
+        path = tmp_path / "m.sbtc"
+        for blob, message in cases:
+            path.write_bytes(blob)
+            with pytest.raises(FormatError) as e:
+                bb.load_checkpoint(path, m)
+            assert str(e.value) == message
+        path.write_bytes(good)
+        bb.load_checkpoint(path, m)
 
     def test_config_mismatch_rejected(self, tmp_path):
         m = bb.build_variant(tiny_urm_config())

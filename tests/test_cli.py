@@ -199,6 +199,26 @@ class TestTrainAndEval:
         assert a[0] == 0 and a == b
         assert "aggregate sequences=2" in a[1]
 
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "0"], ["--jobs", "-3"],
+        ["--window-weight", "nan"], ["--window-weight", "inf"],
+        ["--window-weight", "-0.1"], ["--window-weight", "1.5"],
+    ])
+    def test_malformed_tracker_flag_exit_one(self, tiny_cfg, dataset, flags,
+                                             capsys):
+        code, text = run(["eval", "--data", dataset, "--variant-file",
+                          tiny_cfg] + flags)
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert flags[0] in err
+
+    def test_window_weight_bounds_accepted(self, tiny_cfg, dataset):
+        base = ["eval", "--data", dataset, "--variant-file", tiny_cfg]
+        for w in ("0", "1"):
+            code, _ = run(base + ["--window-weight", w])
+            assert code == 0
+
     def test_numeric_failure_exit_two(self, tiny_cfg, dataset, tmp_path,
                                       monkeypatch):
         def boom(*a, **k):
@@ -258,6 +278,15 @@ class TestTrack:
         expect = [f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}"
                   for i, (x, y, w, h) in enumerate(boxes, start=1)]
         assert text.strip().split("\n")[1:] == expect
+
+    def test_non_finite_window_weight_exit_one(self, tiny_cfg, dataset,
+                                               capsys):
+        video = os.path.join(dataset, "seq_1")
+        code, text = run(["track", "--video", video, "--init", "30,30,20,20",
+                          "--variant-file", tiny_cfg, "--window-weight", "nan"])
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.count("\n") == 1 and "--window-weight" in err
 
     def test_missing_video_exit_one(self, tiny_cfg, tmp_path):
         code, _ = run(["track", "--video", str(tmp_path / "nope"), "--init",

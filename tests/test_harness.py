@@ -401,6 +401,79 @@ class TestEvaluate:
         b = hn.evaluate(model, seqs)
         assert a.ao == b.ao and a.auc == b.auc and a.precision == b.precision
 
+    @pytest.fixture
+    def blas(self):
+        """numpy's OpenBLAS thread count, set to 4 and restored after."""
+        found = hn._openblas()
+        if found is None:
+            pytest.skip("numpy has no bundled OpenBLAS thread control")
+        get, set_ = found
+        prev = get()
+        set_(4)
+        yield get
+        set_(prev)
+
+    @staticmethod
+    def counting_tracker(get, seen):
+        def track(seq):
+            seen.append(get())
+            return hn.static_baseline(seq)
+        return track
+
+    @pytest.mark.parametrize("jobs,n_seqs,share", [
+        (2, 3, 2), (3, 3, 1), (8, 2, 2),  # 2 sequences: 2 workers, not 8
+    ])
+    def test_pool_workers_share_blas_threads(self, blas, monkeypatch, jobs,
+                                             n_seqs, share):
+        monkeypatch.setenv("SBT_LAB_THREADS", "8")
+        seqs = [hn.gen_sequence(s, length=3, frame_size=96)
+                for s in range(30, 30 + n_seqs)]
+        seen = []
+        hn.evaluate(None, seqs, jobs=jobs,
+                    tracker_fn=self.counting_tracker(blas, seen))
+        assert seen == [share] * n_seqs
+        assert blas() == 4
+
+    def test_blas_threads_restored_when_tracker_raises(self, blas,
+                                                       monkeypatch):
+        monkeypatch.setenv("SBT_LAB_THREADS", "2")
+        seqs = [hn.gen_sequence(s, length=3, frame_size=96) for s in (33, 34)]
+
+        def boom(seq):
+            raise RuntimeError("tracker failed")
+
+        with pytest.raises(RuntimeError, match="tracker failed"):
+            hn.evaluate(None, seqs, jobs=2, tracker_fn=boom)
+        assert blas() == 4
+
+    @pytest.mark.parametrize("jobs,n_seqs", [(1, 2), (2, 1)])
+    def test_single_worker_leaves_blas_threads(self, monkeypatch, jobs,
+                                               n_seqs):
+        monkeypatch.setenv("SBT_LAB_THREADS", "2")
+        calls = []
+        monkeypatch.setattr(hn, "_openblas",
+                            lambda: (lambda: 4, calls.append))
+        seqs = [hn.gen_sequence(s, length=3, frame_size=96)
+                for s in range(35, 35 + n_seqs)]
+        hn.evaluate(None, seqs, jobs=jobs, tracker_fn=hn.static_baseline)
+        assert calls == []
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    def test_without_openblas_metrics_unchanged(self, monkeypatch, capsys,
+                                                missing):
+        monkeypatch.setenv("SBT_LAB_THREADS", "2")
+        model = tiny_model()
+        seqs = [hn.gen_sequence(s, length=3, frame_size=96) for s in (37, 38)]
+        want = hn.evaluate(model, seqs, jobs=2)
+        if missing == "library":
+            monkeypatch.setattr(hn.glob, "glob", lambda pattern: [])
+        else:
+            monkeypatch.setattr(hn.ctypes, "CDLL", lambda path: object())
+        assert hn._openblas() is None
+        got = hn.evaluate(model, seqs, jobs=2)
+        assert got == want
+        assert capsys.readouterr() == ("", "")
+
 
 class TestMaxThreads:
     def test_env_cap(self, monkeypatch):

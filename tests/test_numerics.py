@@ -356,3 +356,41 @@ class TestParamStore:
         for n in ("z", "a", "m"):
             ps.add(n, np.zeros(1))
         assert ps.names() == ["z", "a", "m"]
+
+
+def trunc_normal_reference(rng, shape, std=0.02):
+    """Resample loop that re-checks the whole array every round."""
+    out = rng.standard_normal(shape)
+    bad = np.abs(out) > 2.0
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > 2.0
+    return (out * std).astype(np.float32)
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("shape", [(4,), (7, 5), (64, 96), (8, 3, 7, 7),
+                                       (1, 1), ()])
+    def test_matches_reference_loop(self, seed, shape):
+        got = ad.trunc_normal(np.random.default_rng(seed), shape, std=0.1)
+        want = trunc_normal_reference(np.random.default_rng(seed), shape,
+                                      std=0.1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_first_draw_without_rejects(self):
+        first = np.random.default_rng(0).standard_normal((4,))
+        assert (np.abs(first) <= 2.0).all()
+        got = ad.trunc_normal(np.random.default_rng(0), (4,), std=1.0)
+        np.testing.assert_array_equal(got, first.astype(np.float32))
+
+    def test_several_rounds_and_rng_state(self):
+        # about 4.6% of draws land beyond 2 sigma, so this shape needs
+        # several resample rounds; both must leave the rng in one state
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        got = ad.trunc_normal(a, (200, 300), std=1.0)
+        want = trunc_normal_reference(b, (200, 300), std=1.0)
+        np.testing.assert_array_equal(got, want)
+        assert np.abs(got).max() <= 2.0
+        assert a.standard_normal() == b.standard_normal()
