@@ -177,6 +177,26 @@ def _selftest_grad_checks(seed, out):
     return worst
 
 
+def _selftest_float32_kernels(seed):
+    """Largest gap between the float32 fast kernels and float64."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(256, 24)) * 3.0
+    w = rng.normal(size=(24, 1, 3, 3)) / 3.0
+    b = rng.normal(size=24)
+    g = rng.normal(size=24)
+
+    def run_all(dtype):
+        tx, tw, tb, tg = (Tensor(a.astype(dtype)) for a in (x, w, b, g))
+        outs = [ad.gelu(tx), ad.softmax_lastdim(tx), ad.layer_norm(tx, tg, tb)]
+        outs += [ad.depthwise_conv3x3(tx, (16, 16), tw, tb, pad=pad)
+                 for pad in ("edge", "zero")]
+        return [o.data for o in outs]
+
+    with ad.no_grad():
+        return max(float(np.abs(a - b).max())
+                   for a, b in zip(run_all(np.float32), run_all(np.float64)))
+
+
 def cmd_selftest(args, out):
     worst_grad = _selftest_grad_checks(args.seed, out)
 
@@ -218,7 +238,13 @@ def cmd_selftest(args, out):
     out.write(f"selftest joint-attention-reduction max_abs_err="
               f"{worst_urm:.3e} {status}\n")
 
-    if worst_grad >= 1e-5 or worst_ca > 1e-6 or worst_urm > 1e-6:
+    worst_f32 = _selftest_float32_kernels(args.seed + 3)
+    status = "pass" if worst_f32 <= 1e-5 else "FAIL"
+    out.write(f"selftest float32-kernels max_abs_err={worst_f32:.3e} "
+              f"{status}\n")
+
+    if (worst_grad >= 1e-5 or worst_ca > 1e-6 or worst_urm > 1e-6
+            or worst_f32 > 1e-5):
         raise NumericError("selftest failed")
     out.write("selftest all pass\n")
     return 0

@@ -258,6 +258,9 @@ def load_sequence(path) -> SyntheticSequence:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as e:
         raise FormatError(f"cannot read {gt_path}: {e}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{gt_path} is not ASCII text: {e.reason} at "
+                          f"byte {e.start}")
     gt = []
     for ln in lines:
         parts = ln.split(",")

@@ -334,14 +334,12 @@ class Mlp:
             if layout is None:
                 raise ContractError("conditional PE needs the token layout")
             parts, off = [], 0
-            for _, (gh, gw) in layout:
-                seg = ad.index(h, (slice(off, off + gh * gw), slice(None)))
-                img = ad.reshape(ad.transpose(seg, (1, 0)), (self.hidden, gh, gw))
-                img = ad.add(img, ad.conv2d(img, self.pe_w, self.pe_b, stride=1,
-                                            padding=1, groups=self.hidden))
-                parts.append(ad.transpose(ad.reshape(img, (self.hidden, gh * gw)),
-                                          (1, 0)))
-                off += gh * gw
+            for _, grid in layout:
+                n = grid[0] * grid[1]
+                seg = ad.index(h, (slice(off, off + n), slice(None)))
+                parts.append(ad.add(seg, ad.depthwise_conv3x3(
+                    seg, grid, self.pe_w, self.pe_b, pad="zero")))
+                off += n
             h = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
         return ad.linear(ad.gelu(h), self.w2, self.b2)
 
@@ -492,13 +490,8 @@ class LocalLayer:
     def __call__(self, tm: TokenMap) -> TokenMap:
         if not tm.is_single():
             raise ContractError("local layer operates on single-image maps")
-        h, w = tm.grid
-        c = self.channels
-        normed = self.ln1(tm.tokens)
-        img = ad.reshape(ad.transpose(normed, (1, 0)), (c, h, w))
-        img = ad.conv2d(ad.pad_edge(img, 1), self.dw_w, self.dw_b, stride=1,
-                        padding=0, groups=c)
-        mixed = ad.transpose(ad.reshape(img, (c, h * w)), (1, 0))
+        mixed = ad.depthwise_conv3x3(self.ln1(tm.tokens), tm.grid, self.dw_w,
+                                     self.dw_b, pad="edge")
         t = ad.add(tm.tokens, self.mlp1(mixed))
         t = ad.add(t, self.mlp2(self.ln2(t)))
         return tm.with_tokens(t)

@@ -118,9 +118,11 @@ def crop_region(frame: np.ndarray, center: tuple, side: float,
 
     jx0, jx1, fx, in_x = axis_weights(xs, fw)
     iy0, iy1, fy, in_y = axis_weights(ys, fh)
-    f = frame.astype(np.float64)
-    top = f[:, iy0][:, :, jx0] * (1 - fx) + f[:, iy0][:, :, jx1] * fx
-    bot = f[:, iy1][:, :, jx0] * (1 - fx) + f[:, iy1][:, :, jx1] * fx
+    # cast only the sampled rows, not the whole frame
+    r0 = frame[:, iy0].astype(np.float64)
+    r1 = frame[:, iy1].astype(np.float64)
+    top = r0[:, :, jx0] * (1 - fx) + r0[:, :, jx1] * fx
+    bot = r1[:, :, jx0] * (1 - fx) + r1[:, :, jx1] * fx
     patch = top * (1 - fy)[None, :, None] + bot * fy[None, :, None]
     mean = frame.reshape(3, -1).mean(axis=1)
     outside = ~(in_y[:, None] & in_x[None, :])

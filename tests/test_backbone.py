@@ -113,6 +113,27 @@ class TestBuildVariant:
 
 
 class TestForwardPair:
+    @pytest.mark.parametrize("make_cfg", [tiny_urm_config,
+                                          tiny_interleave_config],
+                             ids=["local-layer", "cond-pe"])
+    def test_float32_agrees_with_float64(self, make_cfg):
+        # the benchmark's probe in small: float32 head maps against the same
+        # weights cast to float64, on image-range inputs
+        m = bb.build_variant(make_cfg(), seed=7)
+        rng = np.random.default_rng(8)
+        z, d = rng.uniform(0.0, 1.0, size=(2, 3, 32, 32))
+        x = rng.uniform(0.0, 1.0, size=(3, 64, 64))
+        with ad.no_grad():
+            out32 = m.predict(tensor(z), tensor(x), tensor(d))
+            m.store.cast_(np.float64)
+            out64 = m.predict(tensor(z, dtype=np.float64),
+                              tensor(x, dtype=np.float64),
+                              tensor(d, dtype=np.float64))
+        for name in ("score", "offset", "size"):
+            a, b = getattr(out32, name).data, getattr(out64, name).data
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            assert np.abs(a - b).max() <= 1e-4, name
+
     def test_stage3_token_counts(self):
         m = bb.build_variant(tiny_urm_config())
         z, x = images(1)

@@ -38,6 +38,40 @@ blocks = 2
 heads = 2
 """
 
+# the interleave layout with conditional PE, scaled down like TINY_CFG
+TINY_COND_CFG = """
+name = tiny-cond
+embed_kernel = 4
+embed_stride = 4
+inter_stage = conv
+pe = cond
+pattern = interleave
+head = conv
+template_size = 32
+search_size = 64
+
+[stage1]
+operator = srg
+channels = 8
+blocks = 1
+heads = 2
+sr_ratio = 2
+
+[stage2]
+operator = srg
+channels = 8
+blocks = 1
+heads = 2
+sr_ratio = 2
+
+[stage3]
+operator = srg
+channels = 16
+blocks = 2
+heads = 2
+sr_ratio = 2
+"""
+
 
 def run(argv):
     out = io.StringIO()
@@ -198,6 +232,16 @@ class TestTrainAndEval:
         b = run(base + ["--jobs", "2"])
         assert a[0] == 0 and a == b
         assert "aggregate sequences=2" in a[1]
+
+    def test_cond_pe_eval_repeatable_across_jobs(self, tmp_path, dataset):
+        cfg = tmp_path / "cond.cfg"
+        cfg.write_text(TINY_COND_CFG)
+        base = ["eval", "--data", dataset, "--variant-file", str(cfg),
+                "--temporal"]
+        first = run(base + ["--jobs", "1"])
+        assert first[0] == 0 and "aggregate sequences=2" in first[1]
+        assert run(base + ["--jobs", "1"]) == first
+        assert run(base + ["--jobs", "2"]) == first
 
     @pytest.mark.parametrize("flags", [
         ["--jobs", "0"], ["--jobs", "-3"],

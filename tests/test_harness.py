@@ -210,6 +210,41 @@ class TestSequenceIo:
         with pytest.raises(FormatError):
             hn.load_sequence(d)
 
+    def test_non_ascii_gt_rejected(self, tmp_path):
+        d = tmp_path / "seq_0"
+        d.mkdir()
+        (d / "gt.csv").write_bytes(b"0,1,2,3,4\n1,\xff,2,3,4\n")
+        with pytest.raises(FormatError, match="not ASCII"):
+            hn.load_sequence(d)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mangled_gt_raises_only_format_error(self, tmp_path, data):
+        d, orig = tmp_path / "seq_3", tmp_path / "gt.orig"
+        if not orig.exists():
+            hn.save_sequence(hn.gen_sequence(3, length=3, frame_size=64),
+                             tmp_path)
+            orig.write_bytes((d / "gt.csv").read_bytes())
+        raw = bytearray(orig.read_bytes())
+        junk = st.one_of(
+            st.binary(max_size=3),
+            st.sampled_from([b",", b"\n", b",,", b"\xff", b"\xc3\xa9", b"-",
+                             b"nan", b"1e999", b"\x00", b"9" * 5000]))
+        # splices: mangled bytes, ragged fields or lines
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(raw)))
+            raw[at:at + data.draw(st.integers(0, 3))] = data.draw(junk)
+        if data.draw(st.booleans()):
+            raw = raw[:data.draw(st.integers(0, len(raw)))]
+        (d / "gt.csv").write_bytes(bytes(raw))
+        try:
+            seq = hn.load_sequence(d)
+        except FormatError:
+            return
+        assert len(seq.frames) == len(seq.gt) >= 2
+
 
 class TestIouCorner:
     def test_identical(self):

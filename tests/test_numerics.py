@@ -3,13 +3,15 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from sbt_lab import autodiff as ad
 from sbt_lab.autodiff import (
-    ParamStore, Tensor, backward, conv2d, gelu, grad_check, layer_norm, linear,
-    matmul, softmax_lastdim, tensor,
+    ParamStore, Tensor, backward, conv2d, depthwise_conv3x3, gelu, grad_check,
+    layer_norm, linear, matmul, softmax_lastdim, tensor,
 )
 from sbt_lab.errors import ContractError, DimensionError
+from sbt_lab.layers import Mlp
 from sbt_lab.optim import AdamW
 
 F64 = np.float64
@@ -102,6 +104,161 @@ class TestGelu:
 
     def test_asymptote(self):
         assert abs(gelu(tensor([10.0])).item() - 10.0) < 1e-6
+
+    @staticmethod
+    def reference(x):
+        x = np.asarray(x, dtype=F64)
+        return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+    def test_float32_kernel_dense_grid(self):
+        # more elements than one kernel block, so block edges are crossed
+        x = np.linspace(-12.0, 12.0, 400_001).astype(np.float32)
+        out = gelu(tensor(x)).data
+        assert out.dtype == np.float32
+        assert np.abs(out - self.reference(x)).max() <= 5e-7
+
+    def test_float32_kernel_special_values(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-38, -1e-38,
+                      1e30, -1e30], dtype=np.float32)
+        out = gelu(tensor(x)).data
+        assert np.isfinite(out).all()
+        assert np.abs(out - self.reference(x)).max() <= 5e-7
+
+    def test_float32_kernel_transposed_input_not_mutated(self):
+        rng = np.random.default_rng(4)
+        base = (rng.normal(size=(300, 257)) * 3).astype(np.float32)
+        view = base.T
+        before = base.copy()
+        out = gelu(Tensor(view)).data
+        np.testing.assert_array_equal(base, before)
+        assert out.shape == view.shape
+        assert np.abs(out - self.reference(view)).max() <= 5e-7
+        # the same values laid out contiguously give the same bits
+        np.testing.assert_array_equal(
+            out, gelu(Tensor(np.ascontiguousarray(view))).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_non_finite_stays_non_finite(self, dtype):
+        x = np.array([np.nan, np.inf, -np.inf, 1.0], dtype=dtype)
+        with np.errstate(invalid="ignore"):
+            out = gelu(Tensor(x)).data
+        assert not np.isfinite(out[:3]).any() and np.isfinite(out[3])
+
+
+def _tracked_and_untracked(fn, *arrays):
+    """fn's output with and without a recorded graph."""
+    with ad.no_grad():
+        plain = fn(*[Tensor(a) for a in arrays]).data
+    taped = fn(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert taped._backward is not None
+    return plain, taped.data
+
+
+class TestTrackedEqualsUntracked:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_bitwise_equal(self, dtype):
+        rng = np.random.default_rng(8)
+        x = (rng.normal(size=(70_000, 3)) * 4).astype(dtype)
+        g = rng.normal(size=3).astype(dtype)
+        b = rng.normal(size=3).astype(dtype)
+        before = x.copy()
+        for fn, args in ((gelu, (x,)), (softmax_lastdim, (x,)),
+                         (layer_norm, (x, g, b))):
+            plain, taped = _tracked_and_untracked(fn, *args)
+            assert plain.dtype == taped.dtype == dtype
+            np.testing.assert_array_equal(plain, taped)
+        np.testing.assert_array_equal(x, before)
+
+
+def edge_pad_reference(img):
+    """(C,H,W) -> (C,H+2,W+2), border cells copying the nearest cell."""
+    _, h, w = img.shape
+    iy = np.clip(np.arange(-1, h + 1), 0, h - 1)
+    ix = np.clip(np.arange(-1, w + 1), 0, w - 1)
+    return img[:, iy[:, None], ix[None, :]]
+
+
+class TestDepthwiseConv3x3:
+    GRIDS = [(1, 1), (1, 5), (4, 1), (6, 7)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("pad", ["edge", "zero"])
+    def test_equals_channels_first_conv(self, grid, pad):
+        rng = np.random.default_rng(sum(grid))
+        h, w_ = grid
+        c = 5
+        tokens = rng.normal(size=(h * w_, c))
+        w = rng.normal(size=(c, 1, 3, 3))
+        b = rng.normal(size=c)
+        out = depthwise_conv3x3(t64(tokens), grid, t64(w), t64(b), pad=pad)
+        img = tokens.T.reshape(c, h, w_)
+        if pad == "edge":
+            ref = conv2d(t64(edge_pad_reference(img)), t64(w), t64(b),
+                         groups=c)
+        else:
+            ref = conv2d(t64(img), t64(w), t64(b), padding=1, groups=c)
+        np.testing.assert_allclose(out.data, ref.data.reshape(c, -1).T,
+                                   atol=1e-12)
+
+    def test_float32_close_to_float64(self):
+        rng = np.random.default_rng(2)
+        tokens = rng.normal(size=(64 * 64, 16))
+        w = rng.normal(size=(16, 1, 3, 3)) / 3
+        b = rng.normal(size=16)
+        for pad in ("edge", "zero"):
+            o32 = depthwise_conv3x3(tensor(tokens), (64, 64), tensor(w),
+                                    tensor(b), pad=pad)
+            o64 = depthwise_conv3x3(t64(tokens), (64, 64), t64(w), t64(b),
+                                    pad=pad)
+            assert o32.data.dtype == np.float32
+            assert np.abs(o32.data - o64.data).max() < 1e-5
+
+    def test_bad_arguments_rejected(self):
+        x = tensor(np.ones((6, 2)))
+        w = tensor(np.ones((2, 1, 3, 3)))
+        with pytest.raises(DimensionError):
+            depthwise_conv3x3(x, (2, 2), w, None, pad="zero")
+        with pytest.raises(DimensionError):
+            depthwise_conv3x3(x, (2, 3), tensor(np.ones((3, 1, 3, 3))), None,
+                              pad="zero")
+        with pytest.raises(DimensionError):
+            depthwise_conv3x3(x, (2, 3), w, tensor(np.ones(3)), pad="zero")
+        with pytest.raises(ContractError):
+            depthwise_conv3x3(x, (2, 3), w, None, pad="reflect")
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("pad", ["edge", "zero"])
+    def test_grad_check(self, grid, pad):
+        rng = np.random.default_rng(40 + sum(grid))
+        h, w_ = grid
+        ps = ParamStore()
+        ps.add("x", rng.normal(size=(h * w_, 3)))
+        ps.add("w", rng.normal(size=(3, 1, 3, 3)))
+        ps.add("b", rng.normal(size=3))
+        weight = rng.normal(size=(h * w_, 3))
+
+        def f(p):
+            out = depthwise_conv3x3(p["x"], grid, p["w"], p["b"], pad=pad)
+            return ad.sum_(ad.sigmoid(out) * weight)
+
+        assert grad_check(f, ps) < 1e-6
+
+    def test_grad_check_cond_pe_segments(self):
+        # conditional PE over a template + search layout, one conv per
+        # segment, gradients flowing through the shared weights and input
+        rng = np.random.default_rng(9)
+        ps = ParamStore()
+        mlp = Mlp(ps, "mlp", rng, channels=3, hidden=4, cond_pe=True)
+        layout = (("template", (2, 2)), ("search", (3, 4)))
+        x = rng.normal(size=(16, 3))
+        ps.add("x", x)
+
+        def f(p):
+            out = mlp(p["x"], layout=layout)
+            return ad.sum_(out * out)
+
+        assert grad_check(f, ps) < 1e-6
 
 
 class TestConv2d:

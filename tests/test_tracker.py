@@ -85,6 +85,37 @@ class TestCropRegion:
         with pytest.raises(ContractError):
             trk.crop_region(flat_frame(), (10, 10), 0.0, 16)
 
+    @pytest.mark.parametrize("center,side,out", [
+        ((32.0, 32.0), 32, 32), ((37.3, 61.9), 45.7, 32),
+        ((0.0, 32.0), 32, 32), ((90.2, 5.5), 70.0, 48),
+        ((-500.0, -500.0), 32, 16), ((50.0, 40.0), 8.3, 64),
+    ])
+    def test_matches_whole_frame_float64_formula(self, center, side, out):
+        # the bilinear formula on the whole frame cast to float64
+        frame = textured_frame(5, 100)[:, :80]
+        patch, aff = trk.crop_region(frame, center, side, out)
+        _, fh, fw = frame.shape
+        xs = aff.x0 + aff.scale * np.arange(out)
+        ys = aff.y0 + aff.scale * np.arange(out)
+
+        def axis_weights(coords, limit):
+            lo = np.floor(coords).astype(np.int64)
+            inside = (coords >= 0.0) & (coords <= limit - 1)
+            return (np.clip(lo, 0, limit - 1), np.clip(lo + 1, 0, limit - 1),
+                    coords - lo, inside)
+
+        jx0, jx1, fx, in_x = axis_weights(xs, fw)
+        iy0, iy1, fy, in_y = axis_weights(ys, fh)
+        f = frame.astype(np.float64)
+        top = f[:, iy0][:, :, jx0] * (1 - fx) + f[:, iy0][:, :, jx1] * fx
+        bot = f[:, iy1][:, :, jx0] * (1 - fx) + f[:, iy1][:, :, jx1] * fx
+        ref = top * (1 - fy)[None, :, None] + bot * fy[None, :, None]
+        ref[:, ~(in_y[:, None] & in_x[None, :])] = (
+            frame.reshape(3, -1).mean(axis=1)[:, None])
+        ref = ref.astype(np.float32)
+        assert patch.dtype == np.float32
+        np.testing.assert_array_equal(patch, ref)
+
 
 class TestInit:
     def test_template_crop_side(self):
