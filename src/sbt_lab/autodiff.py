@@ -265,16 +265,18 @@ _AS_HALF_COEFFS = tuple(0.5 * c for c in (
 _GELU_BLOCK = 1 << 16
 
 
-def _gelu_f32(x: np.ndarray, want_cdf: bool):
-    """GELU as relu(x) - |x|*Phi(-|x|) on float32; also Phi(x) if asked.
+def _gelu_f32(x: np.ndarray, want_grad: bool):
+    """GELU as relu(x) - |x|*Phi(-|x|) on float32; also its derivative
+    Phi(x) + x*pdf(x) if asked.
 
-    Never writes into x; the output and the cdf are fresh C-ordered arrays.
+    Never writes into x; the output and the derivative are fresh C-ordered
+    arrays.
     """
     src = np.ascontiguousarray(x).reshape(-1)
     out = np.empty(x.shape, dtype=np.float32)
-    cdf = np.empty(x.shape, dtype=np.float32) if want_cdf else None
+    deriv = np.empty(x.shape, dtype=np.float32) if want_grad else None
     flat_out = out.reshape(-1)
-    flat_cdf = cdf.reshape(-1) if want_cdf else None
+    flat_deriv = deriv.reshape(-1) if want_grad else None
     n = src.size
     blk = max(1, min(n, _GELU_BLOCK))
     abs_buf, t_buf, q_buf = (np.empty(blk, dtype=np.float32) for _ in range(3))
@@ -291,6 +293,10 @@ def _gelu_f32(x: np.ndarray, want_cdf: bool):
             np.multiply(a, a, out=q)
             q *= -0.5
             np.exp(q, out=q)
+            if want_grad:
+                d = flat_deriv[lo:hi]
+                np.multiply(q, _INV_SQRT2PI, out=d)
+                d *= xs  # x * pdf(x)
             np.multiply(a, _AS_P, out=t)
             t += 1.0
             np.reciprocal(t, out=t)
@@ -299,37 +305,39 @@ def _gelu_f32(x: np.ndarray, want_cdf: bool):
                 o += c
                 o *= t
             q *= o  # Phi(-|x|)
-            if want_cdf:
-                c = flat_cdf[lo:hi]
-                np.subtract(0.5, q, out=c)
-                np.copysign(c, xs, out=c)
-                c += 0.5
+            if want_grad:
+                np.subtract(0.5, q, out=t)
+                np.copysign(t, xs, out=t)
+                t += 0.5  # Phi(x)
+                d += t  # float addition commutes: the bits of cdf + x*pdf
             q *= a
             np.maximum(xs, 0.0, out=o)
             o -= q
-    return out, cdf
+    return out, deriv
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the standard-normal CDF.
 
     float32 runs a blocked kernel within 5e-7 absolute of the float64
-    result; float64 uses scipy's erf.
+    result; float64 uses scipy's erf. A tracked call stores the derivative
+    Phi(x) + x*pdf(x), so the backward is one multiply.
     """
     x = a.data
     tracked = _tracked(a)
     if x.dtype == np.float32:
-        data, cdf = _gelu_f32(x, want_cdf=tracked)
+        data, deriv = _gelu_f32(x, want_grad=tracked)
     else:
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         data = x * cdf
+        if tracked:
+            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+            deriv = cdf + x * pdf
     if not tracked:
         return Tensor(data)
 
-    def bwd(g, a=a, cdf=cdf):
-        x = a.data
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        a.accumulate_grad(g * (cdf + x * pdf), owned=True)
+    def bwd(g, a=a, deriv=deriv):
+        a.accumulate_grad(g * deriv, owned=True)
 
     return _node(data, (a,), bwd)
 
@@ -391,15 +399,38 @@ def index(a: Tensor, sl) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows along axis 0 by integer index (repeats allowed)."""
+def _row_scatter(idx: np.ndarray, rows: int, dtype):
+    """The (rows, len(idx)) CSR matrix with a one at (idx[i], i): times the
+    gradient of a row gather, it sums each row's entries in index order."""
+    # imported at the first backward: no_grad inference never pays for
+    # scipy.sparse's modules
+    from scipy.sparse import csr_matrix
+    n = len(idx)
+    return csr_matrix((np.ones(n, dtype=dtype), (idx, np.arange(n))),
+                      shape=(rows, n))
+
+
+def take_rows(a: Tensor, idx: np.ndarray,
+              scatter_cache: Optional[dict] = None) -> Tensor:
+    """Gather rows along axis 0 by a 1-D integer index (repeats allowed).
+
+    The backward scatters the gradient through ``_row_scatter(idx, ...)``.
+    A caller that gathers by the same index again passes a dict that keeps
+    that matrix, per dtype, for its later backwards; it stays empty while
+    no backward runs.
+    """
     data = a.data[idx]
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, idx=idx):
-        gi = np.zeros_like(a.data)
-        np.add.at(gi, idx, g)
+    def bwd(g, a=a, idx=idx, cache=scatter_cache):
+        dtype = a.data.dtype
+        s = None if cache is None else cache.get(dtype)
+        if s is None:
+            s = _row_scatter(idx, a.data.shape[0], dtype)
+            if cache is not None:
+                cache[dtype] = s
+        gi = (s @ g.reshape(len(idx), -1)).reshape(a.data.shape)
         a.accumulate_grad(gi, owned=True)
 
     return _node(data, (a,), bwd)
@@ -759,7 +790,8 @@ class ParamStore:
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(data), requires_grad=True)
+        # C order: the optimizer updates each parameter through a flat view
+        t = Tensor(np.asarray(data, order="C"), requires_grad=True)
         self._params[name] = t
         return t
 

@@ -598,20 +598,29 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(m: Model, path):
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
+    """Write every parameter as little-endian float32 with a trailing CRC32.
+
+    Each header and array buffer goes to the file as it is made, so no
+    whole-file copy is held in memory.
+    """
     items = list(m.store.items())
-    buf += struct.pack("<II", CHECKPOINT_VERSION, len(items))
-    for name, p in items:
-        nb = name.encode("utf-8")
-        arr = np.ascontiguousarray(p.data, dtype="<f4")
-        buf += struct.pack("<H", len(nb)) + nb
-        buf += struct.pack("<BB", 0, arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        buf += arr.tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+
+        def put(chunk):
+            nonlocal crc
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+
+        put(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION,
+                                           len(items)))
+        for name, p in items:
+            nb = name.encode("utf-8")
+            arr = np.ascontiguousarray(p.data, dtype="<f4")
+            put(struct.pack("<H", len(nb)) + nb
+                + struct.pack(f"<BB{arr.ndim}I", 0, arr.ndim, *arr.shape))
+            put(memoryview(arr.reshape(-1)).cast("B"))
+        fh.write(struct.pack("<I", crc))
 
 
 def _unpack(fmt: str, body, off: int):
@@ -654,6 +663,8 @@ def load_checkpoint(path, m: Model) -> Model:
         if dtype_tag != 0:
             raise FormatError(f"unknown dtype tag {dtype_tag} for {name}")
         shape, off = _unpack(f"<{rank}I", body, off)
+        if name in state:
+            raise FormatError(f"duplicate parameter {name}")
         size = math.prod(shape)
         if off + 4 * size > len(body):
             raise FormatError("checkpoint truncated")

@@ -14,8 +14,10 @@ default.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -91,6 +93,43 @@ def _load_frames(path):
     if len(frames) < 2:
         raise ConfigError(f"{path}: need at least 2 frame_<n>.ppm files")
     return frames
+
+
+def _check_out_file(path):
+    """Reject an --out file that cannot be created, before any work."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+
+
+@contextmanager
+def _writing(path):
+    """Report an OS failure while writing path as a one-line error."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _check_training_flags(args):
+    """Reject schedule flags that would crash or silently do nothing, and
+    an unusable --out, before the model is built or the data read."""
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    if args.log_every < 1:
+        raise ConfigError(f"--log-every must be >= 1, got {args.log_every}")
+    # NaN fails every comparison
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise ConfigError(f"--lr must be a finite number > 0, got {args.lr}")
+    wd = getattr(args, "weight_decay", 0.0)
+    if not (math.isfinite(wd) and wd >= 0.0):
+        raise ConfigError(f"--weight-decay must be a finite number >= 0, "
+                          f"got {wd}")
+    _check_out_file(args.out)
 
 
 def _parse_box(text):
@@ -251,18 +290,20 @@ def cmd_selftest(args, out):
 
 
 def cmd_gen_data(args, out):
-    os.makedirs(args.out, exist_ok=True)
-    for k in range(args.sequences):
-        seq = hn.gen_sequence(args.seed + k, length=args.length,
-                              frame_size=args.frame_size,
-                              difficulty=args.difficulty)
-        hn.save_sequence(seq, args.out)
-        out.write(f"wrote {os.path.join(args.out, seq.name)} "
-                  f"frames={args.length}\n")
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        for k in range(args.sequences):
+            seq = hn.gen_sequence(args.seed + k, length=args.length,
+                                  frame_size=args.frame_size,
+                                  difficulty=args.difficulty)
+            hn.save_sequence(seq, args.out)
+            out.write(f"wrote {os.path.join(args.out, seq.name)} "
+                      f"frames={args.length}\n")
     return 0
 
 
 def cmd_train(args, out):
+    _check_training_flags(args)
     model = _build_model(args)
     seqs = hn.load_dataset(args.data)
 
@@ -275,12 +316,14 @@ def cmd_train(args, out):
     hn.train_loop(model, seqs, steps=args.steps, lr=args.lr,
                   weight_decay=args.weight_decay, seed=args.seed,
                   log_every=args.log_every, log_fn=log)
-    bb.save_checkpoint(model, args.out)
+    with _writing(args.out):
+        bb.save_checkpoint(model, args.out)
     out.write(f"saved {args.out}\n")
     return 0
 
 
 def cmd_pretrain_mim(args, out):
+    _check_training_flags(args)
     model = _build_model(args)
     pre = bb.MimPretrainer(model, seed=args.seed)
     seqs = hn.load_dataset(args.data)
@@ -289,7 +332,8 @@ def cmd_pretrain_mim(args, out):
                      log_every=args.log_every,
                      log_fn=lambda step, recon: out.write(
                          f"step {step} recon={recon:.6f}\n"))
-    bb.save_checkpoint(model, args.out)
+    with _writing(args.out):
+        bb.save_checkpoint(model, args.out)
     out.write(f"saved {args.out}\n")
     return 0
 
@@ -304,6 +348,7 @@ def _tracker_config(args):
 
 
 def cmd_track(args, out):
+    _check_out_file(args.out)
     config = _tracker_config(args)
     model = _build_model(args)
     frames = _load_frames(args.video)
@@ -313,7 +358,7 @@ def cmd_track(args, out):
                    for i, (x, y, w, h) in enumerate([box] + boxes))
     out.write(text)
     if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
     return 0
 
@@ -321,6 +366,7 @@ def cmd_track(args, out):
 def cmd_eval(args, out):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_out_file(args.out)
     config = _tracker_config(args)
     model = _build_model(args)
     seqs = hn.load_dataset(args.data)
@@ -328,7 +374,7 @@ def cmd_eval(args, out):
     report = hn.format_report(metrics)
     out.write(report)
     if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="ascii") as fh:
             fh.write(report)
     return 0
 

@@ -183,7 +183,8 @@ class RelBiasTable:
             trunc_normal(rng, (4 * self.span * self.span, heads)))
         self._idx_cache: dict = {}
 
-    def _indices(self, q_layout: tuple, k_layout: tuple) -> np.ndarray:
+    def _indices(self, q_layout: tuple, k_layout: tuple):
+        """(Lq, Lk) table rows, and the layout's scatter-matrix cache."""
         key = (q_layout, k_layout)
         cached = self._idx_cache.get(key)
         if cached is not None:
@@ -205,14 +206,14 @@ class RelBiasTable:
         dx = np.clip(qx[:, None] - kx[None, :], -(ms - 1), ms - 1)
         pair = 2 * qc[:, None] + kc[None, :]
         idx = (pair * span * span + (dy + ms - 1) * span + (dx + ms - 1)).astype(np.intp)
-        self._idx_cache[key] = idx
-        return idx
+        entry = self._idx_cache[key] = idx, {}
+        return entry
 
     def bias(self, q_layout: tuple, k_layout: tuple) -> Tensor:
         """(heads, Lq, Lk) additive pre-softmax bias."""
-        idx = self._indices(q_layout, k_layout)
+        idx, scatter_cache = self._indices(q_layout, k_layout)
         lq, lk = idx.shape
-        rows = ad.take_rows(self.table, idx.reshape(-1))
+        rows = ad.take_rows(self.table, idx.reshape(-1), scatter_cache)
         return ad.transpose(ad.reshape(rows, (lq, lk, self.heads)), (2, 0, 1))
 
 

@@ -26,11 +26,17 @@ def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
     return norm
 
 
+# values per block of AdamW's update: the block's temporaries stay in
+# cache, where whole-array passes stream every moment through memory
+_BLOCK = 1 << 16
+
+
 class AdamW:
     """Standard AdamW; moment state persists across steps.
 
     Decay is decoupled: p -= lr * wd * p, applied independently of the
-    gradient-based update.
+    gradient-based update. Each parameter is updated in blocks of _BLOCK
+    values, bitwise equal to one whole-array pass.
     """
 
     def __init__(self, params: ParamStore, lr: float = 1e-4,
@@ -48,41 +54,51 @@ class AdamW:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._scratch: dict[str, np.ndarray] = {}
+        # one block-sized work buffer per dtype, reused by every parameter
+        self._buf: dict[np.dtype, np.ndarray] = {}
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        # the scalars of the whole-array update, formed the same way, so
+        # that blocking changes no bit of the result
+        c1, c2 = 1.0 - b1, 1.0 - b2
+        decay = 1.0 - self.lr * self.weight_decay
+        inv_sqrt_bc2 = 1.0 / np.sqrt(1.0 - b2 ** self.t)
+        lr_bc1 = self.lr / (1.0 - b1 ** self.t)
         for name, p in self.params.items():
             if p.grad is None:
                 if self.strict:
                     raise ContractError(f"parameter {name} has no gradient")
                 continue
-            g = p.grad
-            m = self._m.get(name)
-            if m is None:
-                m = self._m[name] = np.zeros_like(p.data)
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p.data)
                 self._v[name] = np.zeros_like(p.data)
-            v = self._v[name]
-            scratch = self._scratch.get(name)
-            if scratch is None or scratch.shape != p.data.shape:
-                scratch = self._scratch[name] = np.empty_like(p.data)
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=scratch)
-            m += scratch
-            v *= b2
-            np.multiply(g, g, out=scratch)
-            scratch *= 1.0 - b2
-            v += scratch
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), built in the
-            # scratch buffer to avoid temporaries on large parameters
-            np.sqrt(v, out=scratch)
-            scratch *= 1.0 / np.sqrt(bc2)
-            scratch += self.eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= self.lr / bc1
-            p.data -= scratch
+            buf = self._buf.get(p.data.dtype)
+            if buf is None:
+                buf = self._buf[p.data.dtype] = np.empty(_BLOCK, p.data.dtype)
+            # ParamStore keeps parameters C-contiguous, and the moments
+            # copy their layout, so these flat views write through; the
+            # gradient is only read
+            flat_p, flat_g = p.data.reshape(-1), p.grad.reshape(-1)
+            flat_m, flat_v = self._m[name].reshape(-1), self._v[name].reshape(-1)
+            for lo in range(0, flat_p.size, _BLOCK):
+                hi = min(lo + _BLOCK, flat_p.size)
+                w, g = flat_p[lo:hi], flat_g[lo:hi]
+                m, v, scratch = flat_m[lo:hi], flat_v[lo:hi], buf[:hi - lo]
+                m *= b1
+                np.multiply(g, c1, out=scratch)
+                m += scratch
+                v *= b2
+                np.multiply(g, g, out=scratch)
+                scratch *= c2
+                v += scratch
+                if self.weight_decay:
+                    w *= decay
+                # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
+                np.sqrt(v, out=scratch)
+                scratch *= inv_sqrt_bc2
+                scratch += self.eps
+                np.divide(m, scratch, out=scratch)
+                scratch *= lr_bc1
+                w -= scratch

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sbt_lab.autodiff as ad
 from sbt_lab import backbone as bb
@@ -488,6 +488,8 @@ class TestCheckpoints:
             (self.pack([(first, arr.reshape(-1))] + entries[1:]),
              f"shape mismatch for {first}: checkpoint ({arr.size},) "
              f"vs config {arr.shape}"),
+            (self.pack(entries + [(first, np.full_like(arr, 7.0))]),
+             f"duplicate parameter {first}"),
         ]
         path = tmp_path / "m.sbtc"
         for blob, message in cases:
@@ -497,6 +499,68 @@ class TestCheckpoints:
             assert str(e.value) == message
         path.write_bytes(good)
         bb.load_checkpoint(path, m)
+
+    @staticmethod
+    def whole_file_writer(m, path):
+        """The checkpoint writer that builds the whole file in memory."""
+        buf = bytearray()
+        buf += bb.CHECKPOINT_MAGIC
+        items = list(m.store.items())
+        buf += struct.pack("<II", bb.CHECKPOINT_VERSION, len(items))
+        for name, p in items:
+            nb = name.encode("utf-8")
+            arr = np.ascontiguousarray(p.data, dtype="<f4")
+            buf += struct.pack("<H", len(nb)) + nb
+            buf += struct.pack("<BB", 0, arr.ndim)
+            buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
+            buf += arr.tobytes()
+        buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+        with open(path, "wb") as fh:
+            fh.write(bytes(buf))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_streamed_file_equals_whole_file_writer(self, tmp_path, dtype):
+        m = bb.build_variant(tiny_interleave_config(), seed=8)
+        m.store.cast_(dtype)
+        bb.save_checkpoint(m, tmp_path / "a.sbtc")
+        self.whole_file_writer(m, tmp_path / "b.sbtc")
+        assert ((tmp_path / "a.sbtc").read_bytes()
+                == (tmp_path / "b.sbtc").read_bytes())
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mangled_checkpoint_raises_only_sbt_errors(self, tmp_path, data):
+        m = bb.build_variant(tiny_urm_config())
+        good = tmp_path / "good.sbtc"
+        if not good.exists():
+            bb.save_checkpoint(m, good)
+        raw = bytearray(good.read_bytes())
+        kind = data.draw(st.sampled_from(
+            ["truncate", "mutate", "insert", "version"]))
+        if kind == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            body = raw[:-4]
+            if kind == "mutate":
+                for _ in range(data.draw(st.integers(1, 4))):
+                    at = data.draw(st.integers(0, len(body) - 1))
+                    body[at] = data.draw(st.integers(0, 255))
+            elif kind == "insert":
+                at = data.draw(st.integers(0, len(body)))
+                body[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+            else:
+                body[4:8] = struct.pack(
+                    "<I", data.draw(st.integers(0, 2 ** 32 - 1)))
+            # a valid CRC lets the damage reach the parser
+            raw = body + struct.pack("<I", zlib.crc32(bytes(body)))
+        path = tmp_path / "m.sbtc"
+        path.write_bytes(bytes(raw))
+        try:
+            bb.load_checkpoint(path, m)
+        except SbtError:
+            pass
 
     def test_config_mismatch_rejected(self, tmp_path):
         m = bb.build_variant(tiny_urm_config())

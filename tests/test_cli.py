@@ -376,3 +376,85 @@ class TestPretrainMim:
                        tiny_cfg, "--steps", "1", "--mask-ratio", "1.5",
                        "--out", str(tmp_path / "x.sbtc")])
         assert code == 1
+
+
+def _no_work(*a, **k):
+    raise AssertionError("model or data work ran before the flag check")
+
+
+class TestOutAndScheduleChecks:
+    @pytest.fixture
+    def forbid_work(self, monkeypatch):
+        for mod, name in ((cli.bb, "build_variant"), (cli.hn, "load_dataset"),
+                          (cli.hn, "gen_sequence")):
+            monkeypatch.setattr(mod, name, _no_work)
+
+    @staticmethod
+    def assert_one_line_error(code, text, capsys, needle):
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert needle in err
+
+    @pytest.mark.parametrize("command", ["train", "pretrain-mim", "eval",
+                                         "track"])
+    @pytest.mark.parametrize("bad", ["no-parent", "directory"])
+    def test_unusable_out_fails_before_work(self, command, bad, tiny_cfg,
+                                            tmp_path, forbid_work, capsys):
+        out = str(tmp_path / "missing" / "o" if bad == "no-parent"
+                  else tmp_path)
+        inputs = (["--video", str(tmp_path), "--init", "1,1,4,4"]
+                  if command == "track" else ["--data", str(tmp_path)])
+        code, text = run([command, "--variant-file", tiny_cfg, "--out", out]
+                         + inputs)
+        self.assert_one_line_error(code, text, capsys, out)
+
+    def test_gen_data_out_under_a_file(self, tmp_path, forbid_work, capsys):
+        f = tmp_path / "f"
+        f.write_text("")
+        for out in (f / "x", f):
+            code, text = run(["gen-data", "--out", str(out)])
+            self.assert_one_line_error(code, text, capsys, str(out))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_failed_write_is_one_line(self, command, tiny_cfg, dataset,
+                                      capsys):
+        extra = ["--steps", "1"] if command == "train" else []
+        code, text = run([command, "--data", dataset, "--variant-file",
+                          tiny_cfg, "--out", "/dev/full"] + extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: cannot write")
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ["--log-every", "0"]),
+        ("train", ["--steps", "-1"]),
+        ("train", ["--lr", "0"]),
+        ("train", ["--lr=-1e-4"]),
+        ("train", ["--lr", "nan"]),
+        ("train", ["--lr", "inf"]),
+        ("train", ["--weight-decay=-1e-4"]),
+        ("train", ["--weight-decay", "nan"]),
+        ("train", ["--weight-decay", "inf"]),
+        ("pretrain-mim", ["--log-every", "0"]),
+        ("pretrain-mim", ["--steps", "-1"]),
+        ("pretrain-mim", ["--lr", "0"]),
+        ("pretrain-mim", ["--lr", "nan"]),
+    ])
+    def test_bad_schedule_flag_fails_before_work(self, command, flags,
+                                                 tiny_cfg, tmp_path,
+                                                 forbid_work, capsys):
+        out = tmp_path / "x.sbtc"
+        code, text = run([command, "--data", str(tmp_path), "--variant-file",
+                          tiny_cfg, "--out", str(out)] + flags)
+        self.assert_one_line_error(code, text, capsys,
+                                   flags[0].split("=")[0])
+        assert not out.exists()
+
+    def test_schedule_flag_bounds_accepted(self, tiny_cfg, dataset, tmp_path):
+        code, _ = run(["train", "--data", dataset, "--variant-file", tiny_cfg,
+                       "--out", str(tmp_path / "x.sbtc"), "--steps", "0",
+                       "--weight-decay", "0", "--log-every", "1"])
+        assert code == 0

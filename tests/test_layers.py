@@ -321,6 +321,25 @@ class TestRelBias:
                                       table.bias(lb, lb).data)
 
 
+    def test_scatter_matrix_built_only_for_a_backward(self):
+        ps, rng = ParamStore(), np.random.default_rng(53)
+        table = RelBiasTable(ps, "rb", rng, max_side=4, heads=2)
+        layout = (("template", (2, 2)), ("search", (3, 3)))
+        with ad.no_grad():
+            table.bias(layout, layout)
+        ((idx, scatter_cache),) = table._idx_cache.values()
+        assert scatter_cache == {}
+        for _ in range(2):
+            w = rng.normal(size=(2, 13, 13)).astype(np.float32)
+            table.table.grad = None
+            ad.backward(ad.sum_(table.bias(layout, layout) * Tensor(w)))
+            expect = np.zeros_like(table.table.data)
+            np.add.at(expect, idx.reshape(-1),
+                      w.transpose(1, 2, 0).reshape(-1, 2))
+            np.testing.assert_array_equal(table.table.grad, expect)
+            assert len(scatter_cache) == 1
+
+
 class TestLocalLayer:
     def test_zero_weights_identity(self):
         ps, rng = ParamStore(), np.random.default_rng(60)

@@ -171,6 +171,125 @@ class TestTrackedEqualsUntracked:
         np.testing.assert_array_equal(x, before)
 
 
+def gelu_grad_reference(x, g):
+    """GELU's gradient as g * (cdf + x*pdf), with the forward's cdf: the
+    float32 kernel's Phi(x), op for op over the whole array, or scipy's."""
+    with np.errstate(over="ignore"):
+        if x.dtype == np.float32:
+            a = np.abs(x)
+            q = a * a
+            q *= -0.5
+            q = np.exp(q)
+            t = a * ad._AS_P
+            t += 1.0
+            t = np.reciprocal(t)
+            c5, c4, c3, c2, c1 = ad._AS_HALF_COEFFS
+            o = t * c5
+            for c in (c4, c3, c2, c1):
+                o += c
+                o *= t
+            q *= o
+            cdf = np.copysign(0.5 - q, x) + 0.5
+        else:
+            cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        return g * (cdf + x * pdf)
+
+
+class TestGeluBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_equals_cdf_plus_x_pdf_bitwise(self, dtype):
+        rng = np.random.default_rng(12)
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [0.0, -0.0, tiny, -tiny, 1e-38, -1e-38, 1e30, -1e30]
+        # more than one kernel block
+        x = np.concatenate([np.linspace(-12.0, 12.0, 70_001), special,
+                            rng.normal(size=5000) * 4]).astype(dtype)
+        x = x.reshape(-1, 1)
+        g = rng.normal(size=x.shape).astype(dtype)
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = gelu(xt)
+        out._backward(g)
+        assert xt.grad.dtype == dtype
+        np.testing.assert_array_equal(xt.grad, gelu_grad_reference(x, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_non_finite_input_gives_non_finite_gradient(self, dtype):
+        x = Tensor(np.array([np.nan, np.inf, -np.inf, 1.0], dtype=dtype),
+                   requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            gelu(x)._backward(np.ones(4, dtype=dtype))
+        assert not np.isfinite(x.grad[:3]).any() and np.isfinite(x.grad[3])
+
+
+def add_at_reference(rows_shape, idx, g):
+    gi = np.zeros(rows_shape, dtype=g.dtype)
+    np.add.at(gi, idx, g)
+    return gi
+
+
+class TestTakeRows:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_backward_equals_add_at(self, dtype):
+        rng = np.random.default_rng(14)
+        table = rng.normal(size=(50, 7)).astype(dtype)
+        # rows 40.. are never referenced, the rest several times over
+        idx = rng.integers(0, 40, size=3000)
+        g = (rng.normal(size=(3000, 7)) * 10.0 ** rng.integers(
+            -6, 6, size=(3000, 1))).astype(dtype)
+        t = Tensor(table, requires_grad=True)
+        out = ad.take_rows(t, idx)
+        np.testing.assert_array_equal(out.data, table[idx])
+        out._backward(g)
+        assert t.grad.dtype == dtype
+        np.testing.assert_array_equal(t.grad, add_at_reference(table.shape,
+                                                               idx, g))
+        assert not t.grad[40:].any()
+
+    def test_single_row_table_all_zero_index(self):
+        # the MIM mask token: one row gathered once per masked token
+        rng = np.random.default_rng(15)
+        t = Tensor(rng.normal(size=(1, 16)).astype(np.float32),
+                   requires_grad=True)
+        idx = np.zeros(4000, dtype=np.intp)
+        g = rng.normal(size=(4000, 16)).astype(np.float32)
+        ad.take_rows(t, idx)._backward(g)
+        np.testing.assert_array_equal(t.grad, add_at_reference((1, 16), idx,
+                                                               g))
+
+    def test_scatter_cache_reused_across_calls(self):
+        rng = np.random.default_rng(16)
+        t = Tensor(rng.normal(size=(9, 3)).astype(np.float32),
+                   requires_grad=True)
+        idx = rng.integers(0, 9, size=40)
+        cache = {}
+        with ad.no_grad():
+            ad.take_rows(t, idx, cache)
+        assert cache == {}
+        grads = []
+        for k in range(2):
+            g = rng.normal(size=(40, 3)).astype(np.float32)
+            t.grad = None
+            ad.take_rows(t, idx, cache)._backward(g)
+            np.testing.assert_array_equal(t.grad, add_at_reference((9, 3),
+                                                                   idx, g))
+            grads.append(cache[np.dtype(np.float32)])
+        assert grads[0] is grads[1]
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(17)
+        ps = ParamStore()
+        ps.add("t", rng.normal(size=(6, 4)))
+        idx = np.array([5, 0, 0, 3, 5, 5, 1])
+        w = rng.normal(size=(7, 4))
+
+        def f(p):
+            rows = ad.take_rows(p["t"], idx)
+            return ad.sum_(rows * rows * Tensor(w.astype(p.dtype)))
+
+        assert grad_check(f, ps) < 1e-6
+
+
 def edge_pad_reference(img):
     """(C,H,W) -> (C,H+2,W+2), border cells copying the nearest cell."""
     _, h, w = img.shape
@@ -499,6 +618,73 @@ class TestAdamW:
         for lr in (1e-4, 1e-5):
             opt = AdamW(ps, lr=lr, weight_decay=1e-4)
             assert opt.lr == lr and opt.weight_decay == 1e-4
+
+
+def whole_array_adamw(params, grads, steps, lr, weight_decay, b1=0.9,
+                      b2=0.999, eps=1e-8):
+    """AdamW's update over each whole array at once, step by step; grads
+    holds one dict per step, and a missing name skips that parameter."""
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    for t in range(1, steps + 1):
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for name, p in params.items():
+            g = grads[t - 1].get(name)
+            if g is None:
+                continue
+            scratch = np.empty_like(p)
+            m[name] *= b1
+            np.multiply(g, 1.0 - b1, out=scratch)
+            m[name] += scratch
+            v[name] *= b2
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - b2
+            v[name] += scratch
+            if weight_decay:
+                p *= 1.0 - lr * weight_decay
+            np.sqrt(v[name], out=scratch)
+            scratch *= 1.0 / np.sqrt(bc2)
+            scratch += eps
+            np.divide(m[name], scratch, out=scratch)
+            scratch *= lr / bc1
+            p -= scratch
+
+
+class TestAdamWBlocks:
+    @pytest.mark.parametrize("weight_decay", [1e-4, 0.0])
+    def test_equals_whole_array_update_bitwise(self, weight_decay):
+        rng = np.random.default_rng(21)
+        shapes = {
+            # two full blocks and a ragged last one
+            "big": ((2 * 65536 + 7,), np.float32),
+            "mat": ((3, 5), np.float32),
+            "f64": ((300, 2), F64),
+            "skipped": ((4,), np.float32),
+        }
+        ps = ParamStore()
+        ref = {}
+        for name, (shape, dtype) in shapes.items():
+            ref[name] = rng.normal(size=shape).astype(dtype)
+            ps.add(name, ref[name].copy())
+        grads = []
+        for step in range(4):
+            grads.append({
+                name: (rng.normal(size=shape) * 10.0 ** (step - 2)).astype(dtype)
+                for name, (shape, dtype) in shapes.items()
+                # strict=False: one parameter never has a gradient
+                if name != "skipped"
+            })
+        opt = AdamW(ps, lr=3e-3, weight_decay=weight_decay, strict=False)
+        for step_grads in grads:
+            for name, p in ps.items():
+                p.grad = step_grads.get(name)
+            opt.step()
+        whole_array_adamw(ref, grads, len(grads), lr=3e-3,
+                          weight_decay=weight_decay)
+        for name, p in ps.items():
+            assert p.data.dtype == ref[name].dtype
+            np.testing.assert_array_equal(p.data, ref[name])
 
 
 class TestParamStore:
