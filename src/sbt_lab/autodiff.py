@@ -887,8 +887,16 @@ def grad_check(f: Callable[[ParamStore], Tensor], params: ParamStore,
 # initialization
 # ---------------------------------------------------------------------------
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Zero-mean normal truncated at +-2 sigma (resampling)."""
+def trunc_normal(rng: Optional[np.random.Generator], shape,
+                 std: float = 0.02) -> np.ndarray:
+    """Zero-mean normal truncated at +-2 sigma (resampling).
+
+    With no rng nothing is drawn and the values are zeros, for a model
+    whose values a checkpoint replaces or that is read only for shapes.
+    """
+    if rng is None:
+        # calloc-backed: pages a checkpoint load replaces are never touched
+        return np.zeros(shape, dtype=DEFAULT_DTYPE)
     out = rng.standard_normal(shape)
     flat = out.reshape(-1)
     # each round redraws only the values the last round rejected, in
@@ -901,7 +909,7 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
     return (out * std).astype(DEFAULT_DTYPE)
 
 
-def glorot_normal(rng: np.random.Generator, shape, fan_in: int,
+def glorot_normal(rng: Optional[np.random.Generator], shape, fan_in: int,
                   fan_out: int) -> np.ndarray:
     """Truncated normal with the dimension-scaled Glorot std.
 

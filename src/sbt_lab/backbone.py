@@ -294,14 +294,18 @@ class _InterConv:
 
 
 class Model:
-    """A built variant: parameter store plus the derived layer graph."""
+    """A built variant: parameter store plus the derived layer graph.
 
-    def __init__(self, config: VariantConfig, seed: int = 42):
+    seed None draws no random values: every parameter that would be drawn
+    is zero instead, for ``load_checkpoint`` to replace.
+    """
+
+    def __init__(self, config: VariantConfig, seed: Optional[int] = 42):
         config.validate()
         self.cfg = config
         self.seed = seed
         self.store = ParamStore()
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         stages = config.stages
         cond = config.pe == "cond"
 
@@ -438,8 +442,12 @@ class Model:
         return self.head(f_x)
 
 
-def build_variant(spec, seed: int = 42) -> Model:
-    """Build a model from a known variant name or a VariantConfig."""
+def build_variant(spec, seed: Optional[int] = 42) -> Model:
+    """Build a model from a known variant name or a VariantConfig.
+
+    With seed None nothing is drawn (see Model): for a checkpoint to
+    fill, or for reading shapes and counts only.
+    """
     if isinstance(spec, str):
         spec = named_config(spec)
     return Model(spec, seed=seed)

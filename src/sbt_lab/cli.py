@@ -74,8 +74,11 @@ def _resolve_variant(args):
 
 
 def _build_model(args):
-    model = bb.build_variant(_resolve_variant(args), seed=args.seed)
     ckpt = getattr(args, "checkpoint", None)
+    # a checkpoint replaces every parameter, so none is drawn; the load
+    # checks the full set and each shape before it replaces any value
+    model = bb.build_variant(_resolve_variant(args),
+                             seed=args.seed if ckpt is None else None)
     if ckpt is not None:
         bb.load_checkpoint(ckpt, model)
     return model
@@ -148,7 +151,8 @@ def _parse_box(text):
 
 def cmd_variant_info(args, out):
     cfg = _resolve_variant(args)
-    model = bb.build_variant(cfg, seed=args.seed)
+    # only shapes are read, so no values are drawn
+    model = bb.build_variant(cfg, seed=None)
     params = bb.count_params(model)
     flops, _ = bb.count_flops(model)
     out.write(f"variant {cfg.name}\n")
@@ -170,7 +174,7 @@ def cmd_variant_info(args, out):
 
 
 def cmd_flops(args, out):
-    model = bb.build_variant(_resolve_variant(args), seed=args.seed)
+    model = bb.build_variant(_resolve_variant(args), seed=None)
     total, breakdown = bb.count_flops(model)
     for label, fl in breakdown:
         out.write(f"layer {label} flops={fl} flops_g={fl / 1e9:.6f}\n")
@@ -323,6 +327,10 @@ def cmd_train(args, out):
 
 
 def cmd_pretrain_mim(args, out):
+    # NaN fails both comparisons
+    if not 0.0 < args.mask_ratio < 1.0:
+        raise ConfigError(f"--mask-ratio must be a finite number in (0, 1), "
+                          f"got {args.mask_ratio}")
     _check_training_flags(args)
     model = _build_model(args)
     pre = bb.MimPretrainer(model, seed=args.seed)

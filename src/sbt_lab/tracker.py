@@ -20,6 +20,7 @@ from .autodiff import Tensor
 from .backbone import TOTAL_STRIDE, Model
 from .errors import ContractError, NumericError
 from .head import decode_box
+from .layers import TokenMap
 
 # crop side over the target's geometric-mean side sqrt(w * h); training
 # pairs and online tracking share both
@@ -152,7 +153,7 @@ def _check_box_in_frame(box, frame_shape):
 
 class TrackerState:
     def __init__(self, model: Model, config: TrackerConfig, template_patch,
-                 dyn_patch, box):
+                 box):
         self.model = model
         self.config = config
         self.template_patch = template_patch
@@ -167,8 +168,13 @@ class TrackerState:
                                                     "template")
         self.dyn_patch = None
         self.dyn_feat = None
-        if dyn_patch is not None:
-            self.set_dyn_template(dyn_patch)
+        if config.temporal:
+            # the dynamic template starts as the template crop; encoding is
+            # per image, so its features are the template's, retagged
+            self.dyn_patch = template_patch
+            feat = self.template_feat
+            self.dyn_feat = TokenMap(feat.tokens, list(feat.grids),
+                                     ["dyn_template"])
 
     def set_dyn_template(self, patch):
         self.dyn_patch = patch
@@ -189,8 +195,7 @@ def init(frame: np.ndarray, box, model: Model,
     _check_box_in_frame(box, frame.shape)
     box = tuple(float(v) for v in box)
     patch = crop_template(frame, box, model.cfg.template_size)
-    dyn = patch.copy() if config.temporal else None
-    return TrackerState(model, config, patch, dyn, box)
+    return TrackerState(model, config, patch, box)
 
 
 def track_step(state: TrackerState, frame: np.ndarray) -> tuple:

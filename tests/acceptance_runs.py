@@ -10,9 +10,17 @@ Only that script builds. Imported (as the tests do), a missing artifact
 raises ArtifactNotBuilt with the prebuild command, so a cold cache fails
 criteria 6 and 7 at once rather than holding a test session for hours.
 
+Each artifact stores the fingerprint of what its outcome depends on: the
+program source, this recipe and the numpy version. An artifact whose
+fingerprint differs from the current one raises ArtifactStale, so a result
+built from older code is never read as the current outcome; the script
+rebuilds it.
+
 All runs are deterministic: fixed corpus seeds, fixed training seeds.
 """
 
+import glob
+import hashlib
 import json
 import os
 import time
@@ -22,8 +30,9 @@ import numpy as np
 from sbt_lab import backbone as bb
 from sbt_lab import harness as hn
 
-ART_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "_artifacts")
+HERE = os.path.dirname(os.path.abspath(__file__))
+ART_DIR = os.path.join(HERE, "_artifacts")
+SRC_DIR = os.path.join(os.path.dirname(HERE), "src", "sbt_lab")
 
 VARIANT = "supersbt-light"
 TRAIN_SEEDS = range(0, 64)
@@ -54,6 +63,25 @@ class ArtifactNotBuilt(RuntimeError):
     """An acceptance artifact is missing from ART_DIR."""
 
 
+class ArtifactStale(RuntimeError):
+    """An acceptance artifact was built from other code or another recipe."""
+
+
+def fingerprint():
+    """sha256 over src/sbt_lab/*.py, this file and the numpy version.
+
+    This whole file is hashed, not only the constants above: the build
+    functions hold recipe values of their own (seeds, weight decay).
+    """
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))) + [
+            os.path.abspath(__file__)]:
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    h.update(f"numpy {np.__version__}".encode())
+    return h.hexdigest()
+
+
 def _log(msg):
     print(f"[acceptance] {msg}", flush=True)
 
@@ -65,16 +93,25 @@ def _path(name):
 
 def _cached(name, builder):
     p = _path(name + ".json")
+    fp = fingerprint()
     if os.path.exists(p):
         with open(p) as fh:
-            return json.load(fh)
-    if not BUILD_ON_MISS:
+            art = json.load(fh)
+        if isinstance(art, dict) and art.get("fingerprint") == fp:
+            return art["result"]
+        if not BUILD_ON_MISS:
+            raise ArtifactStale(
+                f"{p} was built from other code, another recipe or another "
+                f"numpy; run `python3 tests/acceptance_runs.py` (about 2.5 h "
+                f"of CPU) to rebuild it")
+        _log(f"{name}: stale artifact, rebuilding")
+    elif not BUILD_ON_MISS:
         raise ArtifactNotBuilt(
             f"{p} is not prebuilt; run `python3 tests/acceptance_runs.py` "
             f"(about 2.5 h of CPU) to build it")
     result = builder()
     with open(p, "w") as fh:
-        json.dump(result, fh, indent=1)
+        json.dump({"fingerprint": fp, "result": result}, fh, indent=1)
     return result
 
 

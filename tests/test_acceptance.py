@@ -6,6 +6,7 @@ on multi-hour training runs cached under tests/_artifacts by
 acceptance_runs.py; see that module for the build details.
 """
 
+import json
 import sys
 import time
 
@@ -352,6 +353,66 @@ def test_criterion_7_mim_pretraining():
            "; ".join(problems) if problems else
            f"recon drop {drop:.1%}, fine-tune {mim['finetune_steps']} vs "
            f"random {mim['random_steps_to_target']} steps")
+
+
+# ---------------------------------------------------------------------------
+# the artifact cache behind criteria 6 and 7
+# ---------------------------------------------------------------------------
+
+def _no_build():
+    raise AssertionError("the cache ran a build")
+
+
+class TestArtifactCache:
+    @pytest.fixture
+    def art_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runs, "ART_DIR", str(tmp_path))
+        monkeypatch.setattr(runs, "BUILD_ON_MISS", False)
+        return tmp_path
+
+    @staticmethod
+    def write(art_dir, artifact):
+        (art_dir / "x.json").write_text(json.dumps(artifact))
+
+    def test_matching_fingerprint_is_read(self, art_dir):
+        self.write(art_dir, {"fingerprint": runs.fingerprint(),
+                             "result": {"ao": 0.5}})
+        assert runs._cached("x", _no_build) == {"ao": 0.5}
+
+    @pytest.mark.parametrize("artifact", [
+        {"fingerprint": "0" * 64, "result": {"ao": 0.5}},
+        {"ao": 0.5},  # written before artifacts carried a fingerprint
+    ])
+    def test_other_fingerprint_is_stale(self, art_dir, artifact):
+        self.write(art_dir, artifact)
+        with pytest.raises(runs.ArtifactStale,
+                           match="python3 tests/acceptance_runs.py"):
+            runs._cached("x", _no_build)
+
+    def test_missing_artifact_is_not_built(self, art_dir):
+        with pytest.raises(runs.ArtifactNotBuilt):
+            runs._cached("x", _no_build)
+
+    def test_build_script_replaces_stale_artifact(self, art_dir, monkeypatch):
+        monkeypatch.setattr(runs, "BUILD_ON_MISS", True)
+        self.write(art_dir, {"fingerprint": "0" * 64, "result": {"ao": 0.5}})
+        assert runs._cached("x", lambda: {"ao": 0.7}) == {"ao": 0.7}
+        monkeypatch.setattr(runs, "BUILD_ON_MISS", False)
+        assert runs._cached("x", _no_build) == {"ao": 0.7}
+
+    def test_fingerprint_follows_source_and_numpy(self, tmp_path,
+                                                  monkeypatch):
+        src = tmp_path / "sbt_lab"
+        src.mkdir()
+        (src / "a.py").write_text("A = 1\n")
+        monkeypatch.setattr(runs, "SRC_DIR", str(src))
+        base = runs.fingerprint()
+        assert runs.fingerprint() == base
+        (src / "a.py").write_text("A = 2\n")
+        edited = runs.fingerprint()
+        assert edited != base
+        monkeypatch.setattr(runs.np, "__version__", "0.0.0")
+        assert runs.fingerprint() != edited
 
 
 # ---------------------------------------------------------------------------

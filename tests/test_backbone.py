@@ -106,6 +106,23 @@ class TestBuildVariant:
             fx2 = m2.forward_pair(z, x)[1].tokens.data
         np.testing.assert_array_equal(fx1, fx2)
 
+    def test_unseeded_build_draws_nothing(self):
+        cfg = tiny_urm_config()
+        a = bb.build_variant(cfg, seed=1)
+        b = bb.build_variant(cfg, seed=2)
+        z = bb.build_variant(cfg, seed=None)
+        assert z.store.names() == a.store.names()
+        for (name, pa), (_, pb), (_, pz) in zip(
+                a.store.items(), b.store.items(), z.store.items()):
+            assert pz.data.dtype == pa.data.dtype
+            assert pz.data.flags.c_contiguous
+            if np.array_equal(pa.data, pb.data):
+                # a constant init (bias, norm gain, score prior) is kept
+                np.testing.assert_array_equal(pz.data, pa.data)
+            else:
+                assert pz.data.shape == pa.data.shape
+                assert not pz.data.any(), name
+
     def test_seeds_differ(self):
         m1 = bb.build_variant(tiny_urm_config(), seed=1)
         m2 = bb.build_variant(tiny_urm_config(), seed=2)
@@ -412,6 +429,19 @@ class TestCheckpoints:
         bb.load_checkpoint(path, m2)
         for (n1, p1), (n2, p2) in zip(m.store.items(), m2.store.items()):
             np.testing.assert_array_equal(p1.data, p2.data)
+
+    @pytest.mark.parametrize("name", ["supersbt-light", "hi-sbt"])
+    def test_unseeded_build_filled_equals_seeded_build(self, name, tmp_path):
+        seeded = bb.build_variant(name, seed=42)
+        path = tmp_path / "m.sbtc"
+        bb.save_checkpoint(seeded, path)
+        filled = bb.load_checkpoint(path, bb.build_variant(name, seed=None))
+        assert filled.store.names() == seeded.store.names()
+        for (n, p1), (_, p2) in zip(seeded.store.items(),
+                                    filled.store.items()):
+            assert p1.data.dtype == p2.data.dtype, n
+            assert p1.data.shape == p2.data.shape, n
+            assert p1.data.tobytes() == p2.data.tobytes(), n
 
     def test_corrupt_byte_rejected(self, tmp_path):
         m = bb.build_variant(tiny_urm_config())

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from sbt_lab import backbone as bb
 from sbt_lab import cli
 from sbt_lab import harness as hn
 from sbt_lab import tracker as trk
+from sbt_lab.autodiff import ParamStore
 from sbt_lab.errors import NumericError
 
 TINY_CFG = """
@@ -154,6 +157,55 @@ class TestVariantInfo:
         p.write_text("name = x\nunknown_key = 1\n")
         code, _ = run(["variant-info", "--variant-file", str(p)])
         assert code == 1
+
+
+# sha256 of each command's stdout while it still built a seeded model;
+# the unseeded build reads the same shapes and must print the same bytes
+SHAPE_OUTPUT_SHA256 = {
+    ("variant-info", "hi-sbt"):
+        "754ec045bedf7a8791f677a552bee6c99b7a6e100177b3d1b23a8fb86a7e4b5a",
+    ("flops", "hi-sbt"):
+        "fe2ef0d4a398ba993c1994085d05317257d747ebdcf2135bf4195773056b6f78",
+    ("variant-info", "plain-sbt"):
+        "682086f5c5d2444de0c40f96950fdca217b2be4a654982c3391336045d33e816",
+    ("flops", "plain-sbt"):
+        "f0c56b21788a494d9cacdccf4e14378ce07af4ac0d28b704ef9238f01b1e875c",
+    ("variant-info", "supersbt-base"):
+        "3651cb0ac7c27fad889e895e2e8cdc628de38be31c9fed08e7b0a5ad6e8cbf2a",
+    ("flops", "supersbt-base"):
+        "bb6cb5433768ce7421de82c6de90c73aec31a34e9af2d5f5c4b7071a741de2e2",
+    ("variant-info", "supersbt-light"):
+        "9b040093dee470ba8be501fafdff8736955ab0f2093bdd0fabd3e9674ae4f690",
+    ("flops", "supersbt-light"):
+        "3c153886df41edef598e8f83c81fe91bdd4a4a99b37bdf23f69ba38216dba86e",
+    ("variant-info", "supersbt-small"):
+        "8f7bb22e1f3001b398a31f1c01569c9818c1ee558d7dd7ca5d679fd8ec35a1ab",
+    ("flops", "supersbt-small"):
+        "b01067bcf0fb47acaf285a027925c81c66e4edb93ca855b656f4827cae5f2fac",
+}
+
+
+@pytest.fixture
+def build_seeds(monkeypatch):
+    """The seed of each build_variant call made from here on."""
+    seeds = []
+    build = bb.build_variant
+
+    def spy(spec, seed=42):
+        seeds.append(seed)
+        return build(spec, seed=seed)
+
+    monkeypatch.setattr(bb, "build_variant", spy)
+    return seeds
+
+
+@pytest.mark.parametrize("command", ["variant-info", "flops"])
+@pytest.mark.parametrize("name", bb.VARIANT_NAMES)
+def test_shape_commands_build_unseeded(command, name, build_seeds):
+    code, text = run([command, "--variant", name])
+    assert code == 0 and build_seeds == [None]
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == SHAPE_OUTPUT_SHA256[command, name]
 
 
 class TestFlops:
@@ -338,6 +390,110 @@ class TestTrack:
         assert code == 1
 
 
+def _save_defective_checkpoint(path, model, drop=None, flatten=None):
+    """Save model's parameters without `drop` and with `flatten` made 1-D."""
+    store = ParamStore()
+    for name, p in model.store.items():
+        if name != drop:
+            store.add(name, p.data.reshape(-1) if name == flatten else p.data)
+    bb.save_checkpoint(SimpleNamespace(store=store), path)
+
+
+# Outputs of the build that drew a seeded model before each checkpoint
+# load and encoded the initial dynamic template twice. The checkpoint is
+# build_variant(variant, seed=42) and the data the `dataset` fixture;
+# track runs on seq_1 from its first gt box.
+REFERENCE_OUTPUTS = {
+    ("hi-sbt", True): (
+        "seq name=seq_1 ao=0.184042 auc=0.190476 precision=0.666667\n"
+        "seq name=seq_2 ao=0.201231 auc=0.222222 precision=1.000000\n"
+        "aggregate sequences=2 ao=0.192636 auc=0.206349 precision=0.833333\n",
+        "0,74.037512,57.211677,14.817624,15.952100\n"
+        "1,71.037646,53.994205,24.628289,26.178111\n"
+        "2,57.347328,48.001892,38.652672,44.359935\n"
+        "3,29.914592,20.925995,66.085408,75.074005\n"),
+    ("supersbt-light", False): (
+        "seq name=seq_1 ao=0.168579 auc=0.174603 precision=0.666667\n"
+        "seq name=seq_2 ao=0.172005 auc=0.190476 precision=1.000000\n"
+        "aggregate sequences=2 ao=0.170292 auc=0.182540 precision=0.833333\n",
+        "0,74.037512,57.211677,14.817624,15.952100\n"
+        "1,69.982610,53.864869,26.017390,26.363252\n"
+        "2,52.188339,47.663332,43.811661,45.141871\n"
+        "3,21.530518,19.710266,74.469482,76.289734\n"),
+    ("supersbt-light", True): (
+        "seq name=seq_1 ao=0.168484 auc=0.174603 precision=0.666667\n"
+        "seq name=seq_2 ao=0.171848 auc=0.190476 precision=1.000000\n"
+        "aggregate sequences=2 ao=0.170166 auc=0.182540 precision=0.833333\n",
+        "0,74.037512,57.211677,14.817624,15.952100\n"
+        "1,70.001821,53.862307,25.998179,26.368517\n"
+        "2,52.084137,47.648866,43.915863,45.164098\n"
+        "3,21.504646,19.500679,74.495354,76.499321\n"),
+}
+
+
+class TestCheckpointCommands:
+    @pytest.mark.parametrize("variant,temporal", list(REFERENCE_OUTPUTS))
+    def test_outputs_match_reference(self, variant, temporal, dataset,
+                                     tmp_path, build_seeds):
+        ckpt = str(tmp_path / "m.sbtc")
+        bb.save_checkpoint(bb.build_variant(variant, seed=42), ckpt)
+        build_seeds.clear()
+        flags = ["--variant", variant, "--checkpoint", ckpt]
+        flags += ["--temporal"] if temporal else []
+        report, boxes = REFERENCE_OUTPUTS[variant, temporal]
+        for jobs in ("1", "2"):
+            assert run(["eval", "--data", dataset, "--jobs", jobs]
+                       + flags) == (0, report)
+        video = os.path.join(dataset, "seq_1")
+        init = ",".join(f"{v:.6f}" for v in hn.load_sequence(video).gt[0])
+        assert run(["track", "--video", video, "--init", init]
+                   + flags) == (0, boxes)
+        # the checkpoint fills every model, so none draws values
+        assert build_seeds == [None] * 3
+
+    @pytest.mark.parametrize("defect", ["missing", "reshaped"])
+    @pytest.mark.parametrize("command", ["eval", "track"])
+    def test_incomplete_checkpoint_exit_one(self, command, defect, tiny_cfg,
+                                            dataset, tmp_path, monkeypatch,
+                                            capsys):
+        model = bb.build_variant(bb.load_variant_file(tiny_cfg))
+        params = list(model.store.items())
+        # a matrix, so flattening changes its shape
+        name = next(n for n, p in params[len(params) // 2:] if p.data.ndim > 1)
+        ckpt = str(tmp_path / "bad.sbtc")
+        _save_defective_checkpoint(
+            ckpt, model, drop=name if defect == "missing" else None,
+            flatten=name if defect == "reshaped" else None)
+        # the partly filled model must never reach tracking
+        monkeypatch.setattr(cli.hn, "evaluate", _no_work)
+        monkeypatch.setattr(cli.trk, "track_frames", _no_work)
+        inputs = (["--video", os.path.join(dataset, "seq_1"), "--init",
+                   "30,30,20,20"] if command == "track"
+                  else ["--data", dataset])
+        code, text = run([command, "--variant-file", tiny_cfg,
+                          "--checkpoint", ckpt] + inputs)
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert name in err
+
+    def test_temporal_eval_encodes_each_template_once(self, tiny_cfg,
+                                                      dataset, monkeypatch):
+        tags = []
+        encode = bb.Model.encode_early
+
+        def spy(model, image, tag):
+            tags.append(tag)
+            return encode(model, image, tag)
+
+        monkeypatch.setattr(bb.Model, "encode_early", spy)
+        code, _ = run(["eval", "--data", dataset, "--variant-file", tiny_cfg,
+                       "--temporal", "--jobs", "2"])
+        assert code == 0
+        # 2 sequences of 4 frames; no template update in 3 frames
+        assert sorted(tags) == ["search"] * 6 + ["template"] * 2
+
+
 class TestPretrainMim:
     def test_short_run_saves_checkpoint(self, tiny_cfg, dataset, tmp_path):
         ckpt = str(tmp_path / "mim.sbtc")
@@ -442,6 +598,12 @@ class TestOutAndScheduleChecks:
         ("pretrain-mim", ["--steps", "-1"]),
         ("pretrain-mim", ["--lr", "0"]),
         ("pretrain-mim", ["--lr", "nan"]),
+        ("pretrain-mim", ["--mask-ratio", "0"]),
+        ("pretrain-mim", ["--mask-ratio", "1"]),
+        ("pretrain-mim", ["--mask-ratio", "1.5"]),
+        ("pretrain-mim", ["--mask-ratio=-0.25"]),
+        ("pretrain-mim", ["--mask-ratio", "nan"]),
+        ("pretrain-mim", ["--mask-ratio", "inf"]),
     ])
     def test_bad_schedule_flag_fails_before_work(self, command, flags,
                                                  tiny_cfg, tmp_path,

@@ -3,6 +3,7 @@ import pytest
 
 import sbt_lab.autodiff as ad
 from sbt_lab import backbone as bb
+from sbt_lab.autodiff import Tensor
 from sbt_lab import tracker as trk
 from sbt_lab.errors import ContractError, NumericError
 
@@ -127,12 +128,27 @@ class TestInit:
         assert state.prev_box == (48.0, 48.0, 32.0, 32.0)
         assert state.dyn_feat is None
 
-    def test_temporal_mode_seeds_dyn_template(self):
+    def test_temporal_mode_seeds_dyn_template(self, monkeypatch):
         model = make_model()
+        tags = []
+        encode = model.encode_early
+
+        def spy(image, tag):
+            tags.append(tag)
+            return encode(image, tag)
+
+        monkeypatch.setattr(model, "encode_early", spy)
         state = trk.init(textured_frame(5), (40, 40, 24, 24), model,
                          trk.TrackerConfig(temporal=True))
         np.testing.assert_array_equal(state.dyn_patch, state.template_patch)
-        assert state.dyn_feat is not None
+        # one encode serves both templates, tagged apart
+        assert tags == ["template"]
+        assert state.dyn_feat.segments == ["dyn_template"]
+        assert state.dyn_feat.grids == state.template_feat.grids
+        with ad.no_grad():
+            fresh = encode(Tensor(state.template_patch.copy()), "dyn_template")
+        np.testing.assert_array_equal(state.dyn_feat.tokens.data,
+                                      fresh.tokens.data)
 
     def test_out_of_frame_box_rejected(self):
         model = make_model()
