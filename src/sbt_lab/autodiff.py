@@ -6,11 +6,22 @@ checking). Every differentiable op builds a node in a dynamic graph;
 accumulates gradients into leaf tensors.
 
 The graph is single-use: re-run the forward pass to differentiate again.
+
+The engine owns the process's threads. numpy's OpenBLAS is pinned to one
+thread, and the large float32 ops split their work over a fork-join of
+the calling thread plus persistent helper threads (see ``threads``).
+Every split leaves each output value's arithmetic unchanged, so results
+are bitwise the same at every width.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import mmap
+import os
+import queue
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
@@ -18,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 DEFAULT_DTYPE = np.float32
 
@@ -47,6 +58,245 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = prev
+
+
+def grad_enabled() -> bool:
+    """Whether the calling thread records a graph."""
+    return _grad_mode.enabled
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+def max_threads() -> int:
+    """SBT_LAB_THREADS if set, else the CPU count."""
+    cap = os.environ.get("SBT_LAB_THREADS")
+    if cap is not None:
+        try:
+            n = int(cap)
+        except ValueError:
+            raise ConfigError(f"SBT_LAB_THREADS must be an integer, got {cap!r}")
+        if n < 1:
+            raise ConfigError("SBT_LAB_THREADS must be >= 1")
+        return n
+    return os.cpu_count() or 1
+
+
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS.
+
+    None when numpy was built against another BLAS or the symbols are
+    missing.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+class _Width(threading.local):
+    # 0 means the process width
+    width = 0
+
+
+_width = _Width()
+_process_width = 0  # 0 until set_threads resolves it
+_helpers: list = []
+_helpers_lock = threading.Lock()
+_tasks: "queue.SimpleQueue" = queue.SimpleQueue()
+
+
+def set_threads() -> int:
+    """Read max_threads() into the process's fork-join width and pin
+    numpy's OpenBLAS to one thread; returns the width.
+
+    Without a pinnable OpenBLAS the width is 1: a split op would run
+    several multi-threaded BLAS calls at once. Ops call this on first use;
+    a command calls it up front, so a bad SBT_LAB_THREADS fails before
+    any work.
+    """
+    global _process_width
+    n = max_threads()
+    blas = _openblas()
+    if blas is None:
+        n = 1
+    else:
+        blas[1](1)
+    _process_width = n
+    return n
+
+
+def threads() -> int:
+    """Fork-join width of the calling thread: the number of parts a large
+    float32 op splits into, the calling thread running the first."""
+    return _width.width or _process_width or set_threads()
+
+
+@contextmanager
+def thread_width(n: int):
+    """Run the block at fork-join width n on the calling thread only."""
+    threads()  # the engine owns the BLAS threads from here on
+    prev = _width.width
+    _width.width = max(1, int(n))
+    try:
+        yield
+    finally:
+        _width.width = prev
+
+
+class _Task:
+    __slots__ = ("fn", "lo", "hi", "claim", "done", "error")
+
+    def __init__(self, fn, lo, hi):
+        self.fn, self.lo, self.hi = fn, lo, hi
+        self.claim = threading.Lock()  # held by whoever runs it
+        self.done = threading.Lock()  # released when it has run
+        self.done.acquire()
+        self.error = None
+
+    def run(self):
+        try:
+            self.fn(self.lo, self.hi)
+        except BaseException as e:  # re-raised on the forking thread
+            self.error = e
+        finally:
+            self.done.release()
+
+
+def _helper_loop():
+    _width.width = 1  # a part never forks again
+    while True:
+        task = _tasks.get()
+        if task.claim.acquire(blocking=False):
+            task.run()
+
+
+def _start_helpers(n: int):
+    if len(_helpers) >= n:
+        return
+    with _helpers_lock:
+        while len(_helpers) < n:
+            t = threading.Thread(target=_helper_loop, daemon=True,
+                                 name=f"sbt-lab-fork-{len(_helpers)}")
+            t.start()
+            _helpers.append(t)
+
+
+def fork(fn: Callable[[int, int], None], n: int, parts: int):
+    """fn(lo, hi) over `parts` contiguous ranges covering range(n).
+
+    The calling thread runs the first range, helpers the rest; a range
+    no helper has started by then runs on the calling thread too, so
+    several threads can fork at once without waiting on each other.
+    Returns once every range has run; re-raises a range's error.
+    """
+    if parts == 1:
+        fn(0, n)
+        return
+    bounds = [n * i // parts for i in range(parts + 1)]
+    tasks = [_Task(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    _start_helpers(max(len(tasks), _process_width - 1))
+    for t in tasks:
+        _tasks.put(t)
+    try:
+        fn(bounds[0], bounds[1])
+    finally:
+        # every range writes into the caller's arrays: wait for all
+        for t in tasks:
+            if t.claim.acquire(blocking=False):
+                t.run()
+            t.done.acquire()
+    for t in tasks:
+        if t.error is not None:
+            raise t.error
+
+
+# work, in elements touched, below which a part costs more to hand to a
+# helper than to run
+_MIN_PART = 1 << 15
+# OpenBLAS takes its small-matrix kernel at M*N*K <= 1e6, whose bits can
+# differ from the blocked kernel's; a split part must stay above it
+_BLAS_SMALL = 10 ** 6
+_FLOAT32 = np.dtype(np.float32)
+
+
+def fork_parts(n: int, work: float, *arrays) -> int:
+    """How many parts to split n rows of `work` total elements into: 1
+    unless every array is float32 and each part gets _MIN_PART."""
+    if n < 2 or work < 2 * _MIN_PART:
+        return 1
+    w = threads()
+    if w == 1:
+        return 1
+    for a in arrays:
+        if a.dtype != _FLOAT32:
+            return 1
+    return min(w, n, int(work // _MIN_PART))
+
+
+def _gemm_parts(m: int, n: int, k: int, *arrays) -> int:
+    """Parts to split the m rows of an (m, k) x (k, n) product into, each
+    kept on the BLAS kernel path of the whole product."""
+    p = fork_parts(m, m * n, *arrays)
+    while p > 1 and (m // p) * n * k <= _BLAS_SMALL:
+        p -= 1
+    return p
+
+
+def _rows(kernel, n: int, parts: int, shape) -> np.ndarray:
+    """kernel(lo, hi, out) over rows [0, n) along axis 0.
+
+    With one part it is one call whose out is None, so the kernel makes
+    its result as the unsplit op always did; else the parts write into
+    one C-ordered float32 array of `shape` on the fork-join. Callers
+    split only where numpy's unsplit result is C-ordered too (see
+    _row_parts), so a split changes no result's layout, and with it no
+    later reduction's summation order.
+    """
+    if parts == 1:
+        return kernel(0, n, None)
+    out = np.empty(shape, dtype=np.float32)
+    fork(lambda lo, hi: kernel(lo, hi, out[lo:hi]), n, parts)
+    return out
+
+
+def _row_parts(x: np.ndarray, *others: np.ndarray) -> int:
+    """Parts for an op on C-ordered arrays whose rows along axis 0 are
+    independent."""
+    if x.ndim < 2 or x.size < 2 * _MIN_PART:
+        return 1
+    if not all(a.flags.c_contiguous for a in (x,) + others):
+        return 1
+    return fork_parts(len(x), x.size, x, *others)
+
+
+def _ewise(ufunc, x: np.ndarray, y) -> np.ndarray:
+    """ufunc(x, y), split by rows when y is a Python number or an array
+    of x's shape."""
+    if x.size < 2 * _MIN_PART:
+        return ufunc(x, y)
+    # a numpy scalar is not weak in type promotion: it takes the whole path
+    scalar = type(y) in (int, float)
+    if scalar:
+        p = _row_parts(x)
+    elif isinstance(y, np.ndarray) and y.shape == x.shape:
+        p = _row_parts(x, y)
+    else:
+        p = 1
+    if p == 1:
+        return ufunc(x, y)
+    return _rows(lambda lo, hi, out: ufunc(x[lo:hi], y if scalar else y[lo:hi],
+                                           out=out),
+                 len(x), p, x.shape)
 
 
 class Tensor:
@@ -154,7 +404,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        data = a.data + b
+        data = _ewise(np.add, a.data, b)
         if not _tracked(a):
             return Tensor(data)
 
@@ -162,7 +412,7 @@ def add(a: Tensor, b) -> Tensor:
             a.accumulate_grad(_unbroadcast(g, a.data.shape))
 
         return _node(data, (a,), bwd)
-    data = a.data + b.data
+    data = _ewise(np.add, a.data, b.data)
     if not _tracked(a, b):
         return Tensor(data)
 
@@ -175,12 +425,13 @@ def add(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        data = a.data * b
+        data = _ewise(np.multiply, a.data, b)
         if not _tracked(a):
             return Tensor(data)
 
         def bwd(g, a=a, b=b):
-            a.accumulate_grad(_unbroadcast(g * b, a.data.shape), owned=True)
+            a.accumulate_grad(_unbroadcast(_ewise(np.multiply, g, b),
+                                           a.data.shape), owned=True)
 
         return _node(data, (a,), bwd)
     data = a.data * b.data
@@ -270,7 +521,7 @@ def _gelu_f32(x: np.ndarray, want_grad: bool):
     Phi(x) + x*pdf(x) if asked.
 
     Never writes into x; the output and the derivative are fresh C-ordered
-    arrays.
+    arrays. The values split over the fork-join.
     """
     src = np.ascontiguousarray(x).reshape(-1)
     out = np.empty(x.shape, dtype=np.float32)
@@ -278,14 +529,23 @@ def _gelu_f32(x: np.ndarray, want_grad: bool):
     flat_out = out.reshape(-1)
     flat_deriv = deriv.reshape(-1) if want_grad else None
     n = src.size
-    blk = max(1, min(n, _GELU_BLOCK))
+    # about ten passes over each value
+    fork(lambda lo, hi: _gelu_f32_range(src, flat_out, flat_deriv, lo, hi),
+         n, fork_parts(n, 10 * n, src))
+    return out, deriv
+
+
+def _gelu_f32_range(src, flat_out, flat_deriv, start: int, stop: int):
+    """The GELU kernel on src[start:stop], in cache-sized blocks."""
+    want_grad = flat_deriv is not None
+    blk = max(1, min(stop - start, _GELU_BLOCK))
     abs_buf, t_buf, q_buf = (np.empty(blk, dtype=np.float32) for _ in range(3))
     c5, c4, c3, c2, c1 = _AS_HALF_COEFFS
     # +-inf makes a*a overflow and inf*0 invalid; both end in the NaN a
     # non-finite input should give
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, blk):
-            hi = min(lo + blk, n)
+        for lo in range(start, stop, blk):
+            hi = min(lo + blk, stop)
             m = hi - lo
             xs, o = src[lo:hi], flat_out[lo:hi]
             a, t, q = abs_buf[:m], t_buf[:m], q_buf[:m]
@@ -313,7 +573,6 @@ def _gelu_f32(x: np.ndarray, want_grad: bool):
             q *= a
             np.maximum(xs, 0.0, out=o)
             o -= q
-    return out, deriv
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -337,7 +596,7 @@ def gelu(a: Tensor) -> Tensor:
         return Tensor(data)
 
     def bwd(g, a=a, deriv=deriv):
-        a.accumulate_grad(g * deriv, owned=True)
+        a.accumulate_grad(_ewise(np.multiply, g, deriv), owned=True)
 
     return _node(data, (a,), bwd)
 
@@ -465,17 +724,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    data = a.data @ b.data
+    data = _batched_matmul(a.data, b.data)
     if not _tracked(a, b):
         return Tensor(data)
 
     def bwd(g, a=a, b=b):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
+        ga = _batched_matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = _batched_matmul(np.swapaxes(a.data, -1, -2), g)
         a.accumulate_grad(_unbroadcast(ga, a.data.shape), owned=True)
         b.accumulate_grad(_unbroadcast(gb, b.data.shape), owned=True)
 
     return _node(data, (a, b), bwd)
+
+
+def _batched_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y; a stack of products with one batch shape splits over its
+    first axis, each product still one BLAS call."""
+    if x.ndim >= 3 and x.shape[:-2] == y.shape[:-2]:
+        # matmul's result is C-ordered whatever its inputs' layout
+        p = fork_parts(len(x), x.size // x.shape[-1] * y.shape[-1], x, y)
+        if p > 1:
+            return _rows(lambda lo, hi, out: np.matmul(x[lo:hi], y[lo:hi],
+                                                       out=out),
+                         len(x), p, x.shape[:-1] + y.shape[-1:])
+    return x @ y
+
+
+def _matmul_rows(x: np.ndarray, w: np.ndarray,
+                 bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """x @ w (+ bias) for 2-D w; a 2-D x splits over its rows."""
+    def kernel(lo, hi, out):
+        out = np.matmul(x[lo:hi], w, out=out)
+        if bias is not None:
+            out += bias
+        return out
+
+    p = 1
+    if x.ndim == 2:
+        p = _gemm_parts(len(x), w.shape[1], w.shape[0], x, w,
+                        *(() if bias is None else (bias,)))
+    return _rows(kernel, len(x), p, (len(x), w.shape[1]))
+
+
+def _matmul_cols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for 2-D x and y, split over the columns of y."""
+    cols = y.shape[1]
+    p = _gemm_parts(cols, x.shape[0], x.shape[1], x, y)
+    if p == 1:
+        return x @ y
+    out = np.empty((x.shape[0], cols), dtype=np.float32)
+    fork(lambda lo, hi: np.matmul(x, y[:, lo:hi], out=out[:, lo:hi]),
+         cols, p)
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -484,18 +784,16 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise DimensionError(
             f"linear: input dim {x.data.shape} incompatible with weight {w.data.shape}"
         )
-    data = x.data @ w.data
-    if b is not None:
-        data += b.data
+    data = _matmul_rows(x.data, w.data, None if b is None else b.data)
     parents = (x, w) if b is None else (x, w, b)
     if not _tracked(*parents):
         return Tensor(data)
 
     def bwd(g, x=x, w=w, b=b):
-        x.accumulate_grad(g @ w.data.T, owned=True)
+        x.accumulate_grad(_matmul_rows(g, w.data.T), owned=True)
         xd = x.data.reshape(-1, x.data.shape[-1])
         gd = g.reshape(-1, g.shape[-1])
-        w.accumulate_grad(xd.T @ gd, owned=True)
+        w.accumulate_grad(_matmul_cols(xd.T, gd), owned=True)
         if b is not None:
             b.accumulate_grad(gd.sum(axis=0), owned=True)
 
@@ -510,15 +808,27 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     """Stable softmax along the last dimension."""
     if a.data.shape[-1] < 1:
         raise DimensionError("softmax over empty last dimension")
-    data = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
+    x = a.data
+
+    def rows(lo, hi, out):
+        xs = x[lo:hi]
+        out = np.subtract(xs, xs.max(axis=-1, keepdims=True), out=out)
+        np.exp(out, out=out)
+        out /= out.sum(axis=-1, keepdims=True)
+        return out
+
+    data = _rows(rows, len(x), _row_parts(x), x.shape)
     if not _tracked(a):
         return Tensor(data)
 
     def bwd(g, a=a, data=data):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        a.accumulate_grad(data * (g - dot), owned=True)
+        def rows(lo, hi, out):
+            gs, ds = g[lo:hi], data[lo:hi]
+            dot = (gs * ds).sum(axis=-1, keepdims=True)
+            return np.multiply(ds, gs - dot, out=out)
+
+        a.accumulate_grad(_rows(rows, len(g), _row_parts(g, data), g.shape),
+                          owned=True)
 
     return _node(data, (a,), bwd)
 
@@ -531,22 +841,31 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match channels ({c},)"
         )
-    # without a graph, the one fresh array x - mu is normalised and scaled
-    # in place; a recorded graph keeps xhat as its own array for the
-    # backward, and a wider gamma/beta dtype gets a fresh output
-    xc = a.data - a.data.mean(axis=-1, keepdims=True)
-    var = np.einsum("...c,...c->...", xc, xc)[..., None]
-    var /= c
-    var += eps
-    inv_std = 1.0 / np.sqrt(var)
+    # x - mu is formed in the xhat array and normalised there; without a
+    # graph that array is also scaled in place into the output, while a
+    # recorded graph keeps xhat for the backward and a wider gamma/beta
+    # dtype gets an output of its own
+    x, gd, bd = a.data, gamma.data, beta.data
     tracked = _tracked(a, gamma, beta)
-    xhat = np.multiply(xc, inv_std, out=None if tracked else xc)
-    if not tracked and np.result_type(xhat, gamma.data,
-                                      beta.data) == xhat.dtype:
-        data = np.multiply(xhat, gamma.data, out=xhat)
-        data += beta.data
-    else:
-        data = xhat * gamma.data + beta.data
+    # both in x's memory order, as numpy gives x - mu
+    xhat = np.empty_like(x)
+    inv_std = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+    data = xhat
+    if tracked or np.result_type(x, gd, bd) != x.dtype:
+        data = np.empty_like(x, dtype=np.result_type(x, gd, bd))
+
+    def rows(lo, hi):
+        xs, xc, inv = x[lo:hi], xhat[lo:hi], inv_std[lo:hi]
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=xc)
+        var = np.einsum("...c,...c->...", xc, xc)[..., None]
+        var /= c
+        var += eps
+        np.divide(1.0, np.sqrt(var, out=var), out=inv)
+        xc *= inv
+        out = np.multiply(xc, gd, out=data[lo:hi])
+        out += bd
+
+    fork(rows, len(x), _row_parts(x, gd, bd))
     if not tracked:
         return Tensor(data)
 
@@ -554,10 +873,17 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         red = tuple(range(g.ndim - 1))
         gamma.accumulate_grad((g * xhat).sum(axis=red), owned=True)
         beta.accumulate_grad(g.sum(axis=red), owned=True)
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        a.accumulate_grad(inv_std * (dxhat - m1 - xhat * m2), owned=True)
+
+        def rows(lo, hi, out):
+            xs = xhat[lo:hi]
+            dxhat = g[lo:hi] * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xs).mean(axis=-1, keepdims=True)
+            return np.multiply(inv_std[lo:hi], dxhat - m1 - xs * m2, out=out)
+
+        a.accumulate_grad(
+            _rows(rows, len(g), _row_parts(g, xhat, gamma.data), g.shape),
+            owned=True)
 
     return _node(data, (a, gamma, beta), bwd)
 
@@ -604,9 +930,17 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
         data = np.einsum("chwij,cij->chw", patches, w.data[:, 0], optimize=True)
         col = None
     else:
+        # a view where the windows tile the map (a 1x1 conv), else a copy;
+        # the product splits over output rows
         col = patches.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cin * k * k)
+        w2t = w.data.reshape(cout, -1).T
         data = np.empty((cout, ho, wo), dtype=t.data.dtype)
-        data[:] = (col @ w.data.reshape(cout, -1).T).T.reshape(cout, ho, wo)
+
+        def rows(y0, y1):
+            data[:, y0:y1] = (col[y0 * wo:y1 * wo] @ w2t).T.reshape(
+                cout, y1 - y0, wo)
+
+        fork(rows, ho, _gemm_parts(ho, cout, wo * col.shape[1], col, w.data))
     if b is not None:
         if b.data.shape != (cout,):
             raise DimensionError(f"conv2d bias shape {b.data.shape} != ({cout},)")
@@ -628,17 +962,22 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
             )
         else:
             gm = g.reshape(cout, -1)
-            w.accumulate_grad((gm @ col).reshape(w.data.shape), owned=True)
-            dcol = gm.T @ w.data.reshape(cout, -1)
+            w.accumulate_grad(_matmul_cols(gm, col).reshape(w.data.shape),
+                              owned=True)
+            dcol = _matmul_rows(gm.T, w.data.reshape(cout, -1))
             dpatch = dcol.reshape(ho, wo, cin, k, k).transpose(2, 0, 1, 3, 4)
-        for i in range(k):
-            for j in range(k):
-                if depthwise:
-                    d = g * w.data[:, 0, i, j][:, None, None]
-                else:
-                    d = dpatch[:, :, :, i, j]
-                dpad[:, i:i + stride * (ho - 1) + 1:stride,
-                     j:j + stride * (wo - 1) + 1:stride] += d
+
+        def scatter(c0, c1):  # input channels c0..c1, every tap in order
+            for i in range(k):
+                for j in range(k):
+                    if depthwise:
+                        d = g[c0:c1] * w.data[c0:c1, 0, i, j][:, None, None]
+                    else:
+                        d = dpatch[c0:c1, :, :, i, j]
+                    dpad[c0:c1, i:i + stride * (ho - 1) + 1:stride,
+                         j:j + stride * (wo - 1) + 1:stride] += d
+
+        fork(scatter, cin, fork_parts(cin, cin * ho * wo * k * k, dpad, g))
         if padding:
             dpad = dpad[:, padding:-padding, padding:-padding]
         t.accumulate_grad(dpad, owned=True)
@@ -692,20 +1031,24 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
     bias = None if b is None else np.tile(b.data, wd)
     data = np.empty((h, row), dtype=dtype)
     rows = max(1, min(h, _DW_BLOCK // row))
-    tmp = np.empty((rows, row), dtype=dtype)
-    for y0 in range(0, h, rows):
-        y1 = min(h, y0 + rows)
-        out, scratch = data[y0:y1], tmp[:y1 - y0]
-        for k in range(9):
-            i, j = divmod(k, 3)
-            src = pmap[y0 + i:y1 + i, j * c:j * c + row]
-            if k == 0:
-                np.multiply(src, taps[k], out=out)
-            else:
-                np.multiply(src, taps[k], out=scratch)
-                out += scratch
-        if bias is not None:
-            out += bias
+
+    def blocks(start, stop):  # output rows start..stop, a block at a time
+        tmp = np.empty((min(rows, stop - start), row), dtype=dtype)
+        for y0 in range(start, stop, rows):
+            y1 = min(stop, y0 + rows)
+            out, scratch = data[y0:y1], tmp[:y1 - y0]
+            for k in range(9):
+                i, j = divmod(k, 3)
+                src = pmap[y0 + i:y1 + i, j * c:j * c + row]
+                if k == 0:
+                    np.multiply(src, taps[k], out=out)
+                else:
+                    np.multiply(src, taps[k], out=scratch)
+                    out += scratch
+            if bias is not None:
+                out += bias
+
+    fork(blocks, h, fork_parts(h, 10 * data.size, data))
     data = data.reshape(length, c)
 
     parents = (tokens, w) if b is None else (tokens, w, b)
@@ -895,8 +1238,13 @@ def trunc_normal(rng: Optional[np.random.Generator], shape,
     whose values a checkpoint replaces or that is read only for shapes.
     """
     if rng is None:
-        # calloc-backed: pages a checkpoint load replaces are never touched
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
+        # an anonymous map: its zero pages stay untouched until written and
+        # go back to the system when the array is freed. np.zeros may get
+        # reused heap memory from calloc, which must clear and so touch it;
+        # a checkpoint load then holds two resident models at its swap
+        size = int(np.prod(shape))
+        return np.frombuffer(mmap.mmap(-1, 4 * size or 1),
+                             dtype=DEFAULT_DTYPE, count=size).reshape(shape)
     out = rng.standard_normal(shape)
     flat = out.reshape(-1)
     # each round redraws only the values the last round rejected, in

@@ -10,6 +10,7 @@ attention), followed by a prediction head.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, glorot_normal, trunc_normal
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, ContractError, DimensionError, FormatError
 from .head import ConvHead, MixMlpHead
 from .layers import (
     FrmLayer, LayerNormParams, LocalLayer, PatchEmbed, PatchMerge,
@@ -395,16 +396,41 @@ class Model:
             tm = inter(tm)
         return tm
 
+    def _joint_biases(self, layout: tuple, cache: Optional[dict]) -> list:
+        """Each joint block's relative bias for a token layout; None
+        entries without rel PE."""
+        if self.bias_tables is None:
+            return [None] * len(self.stage_blocks[-1])
+        if cache is None:
+            return [t.bias(layout, layout) for t in self.bias_tables]
+        if ad.grad_enabled():
+            raise ContractError("a relative-bias cache keeps no graph; "
+                                "use it under no_grad")
+        biases = cache.get(layout)
+        if biases is None:
+            biases = cache[layout] = [
+                Tensor(np.ascontiguousarray(t.bias(layout, layout).data))
+                for t in self.bias_tables]
+        return biases
+
     def forward_joint(self, z: TokenMap, x: TokenMap,
-                      dyn: Optional[TokenMap] = None):
-        """Run the joint final stage; returns (f_z, f_x)."""
+                      dyn: Optional[TokenMap] = None,
+                      bias_cache: Optional[dict] = None):
+        """Run the joint final stage; returns (f_z, f_x).
+
+        bias_cache is a dict that a caller running many no-graph passes
+        (a tracker session) keeps: each block's relative bias is gathered
+        once per token layout into it. It is valid while the parameters
+        do not change; AdamW updates them in place, so it is never keyed
+        on arrays.
+        """
         blocks = self.stage_blocks[-1]
         if self.cfg.pattern == "urm":
             parts = [z] + ([dyn] if dyn is not None else []) + [x]
             zx = concat_maps(parts)
-            tables = self.bias_tables or [None] * len(blocks)
-            for blk, table in zip(blocks, tables):
-                zx = blk(zx, bias_table=table)
+            for blk, bias in zip(blocks, self._joint_biases(zx.layout(),
+                                                            bias_cache)):
+                zx = blk(zx, bias=bias)
             zx = zx.with_tokens(self.final_ln(zx.tokens))
             return zx.segment("template"), zx.segment("search")
         zmap = z if dyn is None else concat_maps([z, dyn])
@@ -631,56 +657,114 @@ def save_checkpoint(m: Model, path):
         fh.write(struct.pack("<I", crc))
 
 
-def _unpack(fmt: str, body, off: int):
-    """struct.unpack_from at off; a body too short is a truncated file."""
-    end = off + struct.calcsize(fmt)
-    if end > len(body):
-        raise FormatError("checkpoint truncated")
-    return struct.unpack_from(fmt, body, off), end
+class _EntryReader:
+    """Reads a checkpoint body front to back, keeping its running CRC32.
+
+    Each read is bounded by the body, which is the file without its
+    4-byte CRC trailer; a read past it is a truncated file.
+    """
+
+    def __init__(self, fh, body_len: int):
+        self.fh, self.body_len = fh, body_len
+        self.off = 0
+        self.crc = 0
+
+    def _take(self, n: int):
+        if self.off + n > self.body_len:
+            raise FormatError("checkpoint truncated")
+        self.off += n
+
+    def unpack(self, fmt: str):
+        size = struct.calcsize(fmt)
+        self._take(size)
+        chunk = self.fh.read(size)
+        if len(chunk) != size:
+            raise FormatError("checkpoint truncated")
+        self.crc = zlib.crc32(chunk, self.crc)
+        return struct.unpack(fmt, chunk)
+
+    def read_into(self, arr: np.ndarray):
+        """Fill a fresh C-ordered array straight from the file."""
+        view = memoryview(arr.reshape(-1)).cast("B")
+        self._take(len(view))
+        if self.fh.readinto(view) != len(view):
+            raise FormatError("checkpoint truncated")
+        self.crc = zlib.crc32(view, self.crc)
+
+    def body_crc(self) -> int:
+        """The CRC of the whole body: the rest is read and folded in."""
+        while self.off < self.body_len:
+            chunk = self.fh.read(min(1 << 20, self.body_len - self.off))
+            if not chunk:
+                break
+            self.off += len(chunk)
+            self.crc = zlib.crc32(chunk, self.crc)
+        return self.crc
 
 
-def load_checkpoint(path, m: Model) -> Model:
-    """Load parameters into a built model; shapes must match exactly."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise FormatError(f"cannot read checkpoint {path}: {e}")
-    if len(raw) < 16:
-        raise FormatError("checkpoint truncated")
-    # parse through a view: only each parameter's final astype copies
-    body = memoryview(raw)[:-4]
-    (stored_crc,) = struct.unpack_from("<I", raw, len(body))
-    if zlib.crc32(body) != stored_crc:
-        raise FormatError("checkpoint CRC mismatch")
-    (magic,), off = _unpack("<4s", body, 0)
+def _read_entries(reader: _EntryReader) -> dict:
+    """Name -> array for every checkpoint entry, each read into its own
+    new array; FormatError for a malformed body."""
+    (magic,) = reader.unpack("<4s")
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}")
-    (version, count), off = _unpack("<II", body, off)
+    version, count = reader.unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,), off = _unpack("<H", body, off)
-        (nb,), off = _unpack(f"<{nlen}s", body, off)
+        (nlen,) = reader.unpack("<H")
+        (nb,) = reader.unpack(f"<{nlen}s")
         try:
             name = nb.decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"checkpoint parameter name {nb!r} is not UTF-8")
-        (dtype_tag, rank), off = _unpack("<BB", body, off)
+        dtype_tag, rank = reader.unpack("<BB")
         if dtype_tag != 0:
             raise FormatError(f"unknown dtype tag {dtype_tag} for {name}")
-        shape, off = _unpack(f"<{rank}I", body, off)
+        shape = reader.unpack(f"<{rank}I")
         if name in state:
             raise FormatError(f"duplicate parameter {name}")
-        size = math.prod(shape)
-        if off + 4 * size > len(body):
+        # checked before the array is made, so a bogus shape allocates
+        # nothing
+        if reader.off + 4 * math.prod(shape) > reader.body_len:
             raise FormatError("checkpoint truncated")
-        state[name] = np.frombuffer(body, dtype="<f4", count=size,
-                                    offset=off).reshape(shape)
-        off += 4 * size
-    if off != len(body):
+        arr = np.empty(shape, dtype="<f4")
+        reader.read_into(arr)
+        state[name] = arr
+    if reader.off != reader.body_len:
         raise FormatError("trailing bytes after checkpoint entries")
+    return state
+
+
+def load_checkpoint(path, m: Model) -> Model:
+    """Load parameters into a built model; shapes must match exactly.
+
+    Each entry is read straight into its own new array under a running
+    CRC; the model's arrays are swapped for them only after the CRC, the
+    parameter set and every shape have been checked. A body that fails
+    the CRC is reported as such, whatever else is wrong with it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < 16:
+                raise FormatError("checkpoint truncated")
+            reader = _EntryReader(fh, size - 4)
+            try:
+                state = _read_entries(reader)
+                error = None
+            except FormatError as e:
+                state, error = None, e
+            body_crc = reader.body_crc()
+            fh.seek(size - 4)
+            (stored_crc,) = struct.unpack("<I", fh.read(4))
+    except OSError as e:
+        raise FormatError(f"cannot read checkpoint {path}: {e}")
+    if body_crc != stored_crc:
+        raise FormatError("checkpoint CRC mismatch")
+    if error is not None:
+        raise error
     names = set(m.store.names())
     if set(state) != names:
         missing = sorted(names - set(state))[:3]
@@ -696,6 +780,7 @@ def load_checkpoint(path, m: Model) -> Model:
                 f"vs config {p.data.shape}"
             )
     for name, p in m.store.items():
-        p.data = state[name].astype(p.data.dtype)
+        arr = state[name]
+        p.data = arr if arr.dtype == p.data.dtype else arr.astype(p.data.dtype)
         p.grad = None
     return m

@@ -31,6 +31,11 @@ from .layers import (
     FrmLayer, TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps,
     segment_mask,
 )
+from .loss import total_loss
+from .optim import AdamW
+
+# variants whose float32 shapes the selftest's thread-split check runs
+THREAD_SPLIT_VARIANTS = ("supersbt-light", "hi-sbt")
 
 # published parameter counts (millions) for the named variants
 REFERENCE_PARAMS_M = {
@@ -240,6 +245,44 @@ def _selftest_float32_kernels(seed):
                    for a, b in zip(run_all(np.float32), run_all(np.float64)))
 
 
+def _thread_split_arrays(name, seed):
+    """A variant's float32 outputs at the calling thread's width: the
+    no-graph prediction, one training step's gradients and the weights
+    after its AdamW update."""
+    model = bb.build_variant(name, seed=seed)
+    cfg = model.cfg
+    rng = np.random.default_rng(seed)
+    z = Tensor(rng.random((3, cfg.template_size, cfg.template_size),
+                          dtype=np.float32))
+    x = Tensor(rng.random((3, cfg.search_size, cfg.search_size),
+                          dtype=np.float32))
+    with ad.no_grad():
+        pred = model.predict(z, x)
+    arrays = [pred.score.data, pred.offset.data, pred.size.data]
+    loss, _ = total_loss(model.predict(z, x), (0.5, 0.5, 0.25, 0.25))
+    ad.backward(loss)
+    arrays += [p.grad for _, p in model.store.items()]
+    AdamW(model.store, lr=1e-3).step()
+    return arrays + [p.data for _, p in model.store.items()]
+
+
+def _selftest_thread_split(seed):
+    """(arrays compared, arrays differing) between fork-join widths 1 and
+    2. Whether a split keeps every bit depends on the BLAS build, so this
+    runs on the installed one."""
+    compared = differing = 0
+    for name in THREAD_SPLIT_VARIANTS:
+        runs = []
+        for width in (1, 2):
+            with ad.thread_width(width):
+                runs.append(_thread_split_arrays(name, seed))
+        for a, b in zip(*runs):
+            compared += 1
+            differing += (a.dtype, a.shape, a.tobytes()) != (b.dtype, b.shape,
+                                                               b.tobytes())
+    return compared, differing
+
+
 def cmd_selftest(args, out):
     worst_grad = _selftest_grad_checks(args.seed, out)
 
@@ -286,8 +329,13 @@ def cmd_selftest(args, out):
     out.write(f"selftest float32-kernels max_abs_err={worst_f32:.3e} "
               f"{status}\n")
 
+    compared, differing = _selftest_thread_split(args.seed)
+    status = "pass" if differing == 0 else "FAIL"
+    out.write(f"selftest thread-split variants={','.join(THREAD_SPLIT_VARIANTS)}"
+              f" arrays={compared} differing={differing} {status}\n")
+
     if (worst_grad >= 1e-5 or worst_ca > 1e-6 or worst_urm > 1e-6
-            or worst_f32 > 1e-5):
+            or worst_f32 > 1e-5 or differing):
         raise NumericError("selftest failed")
     out.write("selftest all pass\n")
     return 0
@@ -396,24 +444,29 @@ def build_parser():
                      description="single-branch transformer tracking lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, seed_help):
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--seed", type=int, default=42,
-                       help="deterministic seed (default: %(default)s)")
+                       help=seed_help + " (default: %(default)s)")
         return p
 
+    unused = "unused: nothing here draws random values"
+    weights = ("draws the initial weights; unused with --checkpoint, whose "
+               "weights replace them")
     p = add("variant-info", cmd_variant_info,
-            "print parameter/FLOP figures for a model variant")
+            "print parameter/FLOP figures for a model variant", unused)
     _add_variant_flags(p)
 
-    p = add("flops", cmd_flops, "print the per-layer FLOP breakdown")
+    p = add("flops", cmd_flops, "print the per-layer FLOP breakdown", unused)
     _add_variant_flags(p)
 
     add("selftest", cmd_selftest,
-        "run gradient and attention-equivalence checks")
+        "run gradient, attention-equivalence and thread-split checks",
+        "draws the random test inputs and weights")
 
-    p = add("gen-data", cmd_gen_data, "generate a synthetic sequence corpus")
+    p = add("gen-data", cmd_gen_data, "generate a synthetic sequence corpus",
+            "seed of the first sequence; sequence k uses seed + k")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--sequences", type=int, default=hn.DEFAULT_TRAIN_SEQS,
                    help="number of sequences (default: %(default)s)")
@@ -424,7 +477,9 @@ def build_parser():
     p.add_argument("--difficulty", default="easy", choices=hn.DIFFICULTIES,
                    help="sequence style (default: %(default)s)")
 
-    p = add("train", cmd_train, "train a variant on a sequence corpus")
+    p = add("train", cmd_train, "train a variant on a sequence corpus",
+            "draws the initial weights (unused with --checkpoint) and the "
+            "training pairs with their jitter")
     _add_variant_flags(p)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -440,7 +495,9 @@ def build_parser():
                    help="steps between loss lines (default: %(default)s)")
 
     p = add("pretrain-mim", cmd_pretrain_mim,
-            "masked-patch reconstruction pretraining")
+            "masked-patch reconstruction pretraining",
+            "draws the initial encoder weights (unused with --checkpoint), "
+            "the decoder weights, the training crops and the masks")
     _add_variant_flags(p)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -455,7 +512,8 @@ def build_parser():
     p.add_argument("--log-every", type=int, default=50,
                    help="steps between loss lines (default: %(default)s)")
 
-    p = add("track", cmd_track, "track one target through a frame directory")
+    p = add("track", cmd_track, "track one target through a frame directory",
+            weights)
     _add_variant_flags(p)
     p.add_argument("--video", required=True,
                    help="directory of frame_<n>.ppm files")
@@ -465,14 +523,17 @@ def build_parser():
     p.add_argument("--out", default=None, help="box CSV output path")
     _add_tracker_flags(p)
 
-    p = add("eval", cmd_eval, "evaluate tracking metrics over a dataset")
+    p = add("eval", cmd_eval, "evaluate tracking metrics over a dataset",
+            weights)
     _add_variant_flags(p)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--checkpoint", default=None, help="trained weights")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sequences, >= 1; the BLAS threads are "
-                        "split among them (default: %(default)s)")
+                   help="parallel sequences, >= 1; each pool worker's ops "
+                        "split their work over an even share of the "
+                        "SBT_LAB_THREADS threads, BLAS kept on one thread "
+                        "(default: %(default)s)")
     _add_tracker_flags(p)
 
     return parser
@@ -486,6 +547,8 @@ def run(argv, out=None) -> int:
         if getattr(args, "fn", None) is None:
             parser.print_usage(sys.stderr)
             return 1
+        # a bad SBT_LAB_THREADS fails here, before any model or data work
+        ad.set_threads()
         return args.fn(args, out)
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,9 +9,6 @@ binary PPM frames plus a gt.csv.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
-import ctypes
-import glob
 import os
 import re
 from dataclasses import dataclass, field
@@ -22,7 +19,7 @@ from scipy.ndimage import uniform_filter
 
 from . import autodiff as ad
 from . import tracker as trk
-from .autodiff import Tensor
+from .autodiff import Tensor, max_threads
 from .backbone import MimPretrainer, Model
 from .errors import ConfigError, ContractError, FormatError, NumericError
 from .loss import total_loss
@@ -53,19 +50,6 @@ class SyntheticSequence:
     seed: int
     difficulty: str
     name: str = ""
-
-
-def max_threads() -> int:
-    cap = os.environ.get("SBT_LAB_THREADS")
-    if cap is not None:
-        try:
-            n = int(cap)
-        except ValueError:
-            raise ConfigError(f"SBT_LAB_THREADS must be an integer, got {cap!r}")
-        if n < 1:
-            raise ConfigError("SBT_LAB_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -475,48 +459,6 @@ def run_tracker_on_sequence(model: Model, seq: SyntheticSequence,
     return trk.track_frames(model, seq.frames, seq.gt[0], config)
 
 
-def _openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS.
-
-    None when numpy was built against another BLAS or the symbols are
-    missing.
-    """
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        set_.restype, set_.argtypes = None, [ctypes.c_int]
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _blas_threads(workers: int):
-    """Split the process's BLAS threads evenly among `workers` pool threads.
-
-    Every pool thread calls the same multi-threaded BLAS, so without the
-    split the cores run workers * threads BLAS threads and thrash. The
-    count is process-wide: the previous value comes back on exit, also
-    when the body raises. Without numpy's OpenBLAS this does nothing.
-    """
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    prev = get()
-    set_(max(1, prev // workers))
-    try:
-        yield
-    finally:
-        set_(prev)
-
-
 def evaluate(model: Model, sequences,
              config: Optional[trk.TrackerConfig] = None,
              jobs: int = 1,
@@ -526,8 +468,8 @@ def evaluate(model: Model, sequences,
     tracker_fn(seq) -> predicted boxes for frames 2..N overrides the
     model-driven tracker (used for baseline comparisons). jobs > 1
     tracks sequences on a thread pool of at most jobs, max_threads() and
-    len(sequences) workers, which share the BLAS threads evenly; the
-    metrics do not depend on jobs.
+    len(sequences) workers; each worker's ops fork at an even share of
+    the process's fork-join width. The metrics do not depend on jobs.
     """
     for seq in sequences:
         if model is not None and tracker_fn is None:
@@ -549,9 +491,15 @@ def evaluate(model: Model, sequences,
     if workers == 1:
         per = [one(s) for s in sequences]
     else:
-        with _blas_threads(workers), concurrent.futures.ThreadPoolExecutor(
+        share = max(1, ad.threads() // workers)
+
+        def worker_one(seq):
+            with ad.thread_width(share):
+                return one(seq)
+
+        with concurrent.futures.ThreadPoolExecutor(
                 max_workers=workers) as pool:
-            per = list(pool.map(one, sequences))
+            per = list(pool.map(worker_one, sequences))
     return aggregate(per)
 
 

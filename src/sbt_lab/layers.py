@@ -425,20 +425,18 @@ class UrmLayer:
         self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
                        int(channels * mlp_ratio), cond_pe=cond_pe)
 
-    def attention_update(self, tm: TokenMap, bias_table=None,
+    def attention_update(self, tm: TokenMap, bias: Optional[Tensor] = None,
                          mask: Optional[np.ndarray] = None) -> Tensor:
+        """bias: the (heads, L, L) relative bias of tm's layout, if any."""
         if len(tm.segments) < 1:
             raise ContractError("URM needs segment metadata")
         normed = tm.with_tokens(self.ln1(tm.tokens))
-        bias = None
-        if bias_table is not None:
-            bias = bias_table.bias(tm.layout(), tm.layout())
         upd = self.attn(normed, normed, bias=bias, mask=mask)
         return ad.add(tm.tokens, upd)
 
-    def __call__(self, tm: TokenMap, bias_table=None,
+    def __call__(self, tm: TokenMap, bias: Optional[Tensor] = None,
                  mask: Optional[np.ndarray] = None) -> TokenMap:
-        t = self.attention_update(tm, bias_table, mask)
+        t = self.attention_update(tm, bias, mask)
         t = ad.add(t, self.mlp(self.ln2(t), layout=tm.layout()))
         return tm.with_tokens(t)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import ParamStore
 from .errors import ContractError
 
@@ -36,7 +37,8 @@ class AdamW:
 
     Decay is decoupled: p -= lr * wd * p, applied independently of the
     gradient-based update. Each parameter is updated in blocks of _BLOCK
-    values, bitwise equal to one whole-array pass.
+    values, bitwise equal to one whole-array pass; the blocks of all
+    parameters split over the fork-join.
     """
 
     def __init__(self, params: ParamStore, lr: float = 1e-4,
@@ -54,8 +56,6 @@ class AdamW:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        # one block-sized work buffer per dtype, reused by every parameter
-        self._buf: dict[np.dtype, np.ndarray] = {}
 
     def step(self):
         self.t += 1
@@ -66,6 +66,10 @@ class AdamW:
         decay = 1.0 - self.lr * self.weight_decay
         inv_sqrt_bc2 = 1.0 / np.sqrt(1.0 - b2 ** self.t)
         lr_bc1 = self.lr / (1.0 - b1 ** self.t)
+        # ParamStore keeps parameters C-contiguous, and the moments copy
+        # their layout, so these flat views write through; the gradient is
+        # only read
+        flats = []
         for name, p in self.params.items():
             if p.grad is None:
                 if self.strict:
@@ -74,16 +78,18 @@ class AdamW:
             if name not in self._m:
                 self._m[name] = np.zeros_like(p.data)
                 self._v[name] = np.zeros_like(p.data)
-            buf = self._buf.get(p.data.dtype)
-            if buf is None:
-                buf = self._buf[p.data.dtype] = np.empty(_BLOCK, p.data.dtype)
-            # ParamStore keeps parameters C-contiguous, and the moments
-            # copy their layout, so these flat views write through; the
-            # gradient is only read
-            flat_p, flat_g = p.data.reshape(-1), p.grad.reshape(-1)
-            flat_m, flat_v = self._m[name].reshape(-1), self._v[name].reshape(-1)
-            for lo in range(0, flat_p.size, _BLOCK):
-                hi = min(lo + _BLOCK, flat_p.size)
+            flats.append((p.data.reshape(-1), p.grad.reshape(-1),
+                          self._m[name].reshape(-1), self._v[name].reshape(-1)))
+        blocks = [(f, lo, min(lo + _BLOCK, f[0].size))
+                  for f in flats for lo in range(0, f[0].size, _BLOCK)]
+
+        def update(start, stop):
+            # one block-sized work buffer per dtype, reused by every block
+            bufs: dict = {}
+            for (flat_p, flat_g, flat_m, flat_v), lo, hi in blocks[start:stop]:
+                buf = bufs.get(flat_p.dtype)
+                if buf is None:
+                    buf = bufs[flat_p.dtype] = np.empty(_BLOCK, flat_p.dtype)
                 w, g = flat_p[lo:hi], flat_g[lo:hi]
                 m, v, scratch = flat_m[lo:hi], flat_v[lo:hi], buf[:hi - lo]
                 m *= b1
@@ -102,3 +108,9 @@ class AdamW:
                 np.divide(m, scratch, out=scratch)
                 scratch *= lr_bc1
                 w -= scratch
+
+        # about a dozen passes over each value; gradients take their
+        # parameter's dtype
+        work = 12 * sum(f[0].size for f in flats)
+        ad.fork(update, len(blocks),
+                ad.fork_parts(len(blocks), work, *(f[0] for f in flats)))

@@ -663,3 +663,29 @@ class TestMim:
         assert t.shape == (256, 768)
         np.testing.assert_allclose(t.mean(axis=1), 0.0, atol=1e-4)
         np.testing.assert_allclose(t.var(axis=1), 1.0, atol=1e-2)
+
+
+class TestCheckpointLoadCopies:
+    def test_each_parameter_gets_its_own_writable_array(self, tmp_path):
+        m = bb.build_variant(tiny_urm_config(), seed=5)
+        path = tmp_path / "m.sbtc"
+        bb.save_checkpoint(m, path)
+        m2 = bb.load_checkpoint(path, bb.build_variant(tiny_urm_config(),
+                                                       seed=None))
+        for (_, p), (_, q) in zip(m.store.items(), m2.store.items()):
+            assert q.data.base is None and q.data.flags.writeable
+            assert q.data.flags.c_contiguous and q.data.dtype == np.float32
+            assert q.data.tobytes() == p.data.tobytes()
+
+    def test_rejected_file_leaves_the_model_untouched(self, tmp_path):
+        m = bb.build_variant(tiny_urm_config(), seed=5)
+        entries = [(n, p.data) for n, p in m.store.items()]
+        # the last matrix, flattened: found only after every entry is read
+        i = max(k for k, (_, a) in enumerate(entries) if a.ndim == 2)
+        entries[i] = (entries[i][0], entries[i][1].reshape(-1))
+        path = tmp_path / "m.sbtc"
+        path.write_bytes(TestCheckpoints.pack(entries))
+        before = [p.data for _, p in m.store.items()]
+        with pytest.raises(FormatError, match="shape mismatch"):
+            bb.load_checkpoint(path, m)
+        assert all(p.data is b for (_, p), b in zip(m.store.items(), before))

@@ -451,6 +451,28 @@ class TestCheckpointCommands:
         # the checkpoint fills every model, so none draws values
         assert build_seeds == [None] * 3
 
+    # width 1 everywhere; width 4 at --jobs 1, and two pool workers
+    # forking at width 2 at once at --jobs 2
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    @pytest.mark.parametrize("variant,temporal", [("supersbt-light", False),
+                                                  ("hi-sbt", True)])
+    def test_outputs_match_reference_at_each_thread_count(
+            self, variant, temporal, threads, dataset, tmp_path,
+            monkeypatch):
+        ckpt = str(tmp_path / "m.sbtc")
+        bb.save_checkpoint(bb.build_variant(variant, seed=42), ckpt)
+        monkeypatch.setenv("SBT_LAB_THREADS", threads)
+        flags = ["--variant", variant, "--checkpoint", ckpt]
+        flags += ["--temporal"] if temporal else []
+        report, boxes = REFERENCE_OUTPUTS[variant, temporal]
+        for jobs in ("1", "2"):
+            assert run(["eval", "--data", dataset, "--jobs", jobs]
+                       + flags) == (0, report)
+        video = os.path.join(dataset, "seq_1")
+        init = ",".join(f"{v:.6f}" for v in hn.load_sequence(video).gt[0])
+        assert run(["track", "--video", video, "--init", init]
+                   + flags) == (0, boxes)
+
     @pytest.mark.parametrize("defect", ["missing", "reshaped"])
     @pytest.mark.parametrize("command", ["eval", "track"])
     def test_incomplete_checkpoint_exit_one(self, command, defect, tiny_cfg,
@@ -536,6 +558,50 @@ class TestPretrainMim:
 
 def _no_work(*a, **k):
     raise AssertionError("model or data work ran before the flag check")
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("command,variant", [
+        ("train", "supersbt-light"), ("train", "hi-sbt"),
+        ("pretrain-mim", "supersbt-light")])
+    def test_training_identical_at_one_and_two_threads(
+            self, command, variant, dataset, tmp_path, monkeypatch):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SBT_LAB_THREADS", threads)
+            ckpt = tmp_path / f"{threads}.sbtc"
+            code, text = run([command, "--variant", variant, "--data",
+                              dataset, "--out", str(ckpt), "--steps", "3",
+                              "--log-every", "1"])
+            assert code == 0
+            outs.append((text.replace(str(ckpt), "out"), ckpt.read_bytes()))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("value", ["lots", "0", ""])
+    @pytest.mark.parametrize("command", TestHelpAndErrors.SUBCOMMANDS)
+    def test_bad_value_fails_before_work(self, command, value, tmp_path,
+                                         monkeypatch, capsys):
+        for mod, name in ((cli.bb, "build_variant"),
+                          (cli.bb, "load_variant_file"),
+                          (cli.hn, "load_dataset"), (cli.hn, "gen_sequence"),
+                          (cli, "_load_frames"),
+                          (cli, "_selftest_grad_checks")):
+            monkeypatch.setattr(mod, name, _no_work)
+        monkeypatch.setenv("SBT_LAB_THREADS", value)
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["--out", str(out)],
+            "train": ["--data", str(tmp_path), "--out", str(out)],
+            "pretrain-mim": ["--data", str(tmp_path), "--out", str(out)],
+            "track": ["--video", str(tmp_path), "--init", "1,1,4,4"],
+            "eval": ["--data", str(tmp_path)],
+        }.get(command, [])
+        code, text = run([command] + argv)
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: SBT_LAB_THREADS must be ")
+        assert not out.exists()
 
 
 class TestOutAndScheduleChecks:

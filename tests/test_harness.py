@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sbt_lab import autodiff as ad
 from sbt_lab import harness as hn
 from sbt_lab import tracker as trk
 from sbt_lab.autodiff import Tensor
@@ -438,60 +439,62 @@ class TestEvaluate:
 
     @pytest.fixture
     def blas(self):
-        """numpy's OpenBLAS thread count, set to 4 and restored after."""
-        found = hn._openblas()
+        """Getter of numpy's OpenBLAS thread count; the engine has pinned
+        it to one thread."""
+        found = ad._openblas()
         if found is None:
             pytest.skip("numpy has no bundled OpenBLAS thread control")
-        get, set_ = found
-        prev = get()
-        set_(4)
-        yield get
-        set_(prev)
+        ad.threads()
+        return found[0]
 
     @staticmethod
-    def counting_tracker(get, seen):
+    def recording_tracker(get, seen):
         def track(seq):
-            seen.append(get())
+            seen.append((ad.threads(), get()))
             return hn.static_baseline(seq)
         return track
 
     @pytest.mark.parametrize("jobs,n_seqs,share", [
-        (2, 3, 2), (3, 3, 1), (8, 2, 2),  # 2 sequences: 2 workers, not 8
+        (2, 3, 4), (3, 3, 2), (8, 2, 4),  # 2 sequences: 2 workers, not 8
     ])
-    def test_pool_workers_share_blas_threads(self, blas, monkeypatch, jobs,
-                                             n_seqs, share):
+    def test_pool_workers_share_the_fork_width(self, blas, monkeypatch, jobs,
+                                               n_seqs, share):
         monkeypatch.setenv("SBT_LAB_THREADS", "8")
         seqs = [hn.gen_sequence(s, length=3, frame_size=96)
                 for s in range(30, 30 + n_seqs)]
         seen = []
-        hn.evaluate(None, seqs, jobs=jobs,
-                    tracker_fn=self.counting_tracker(blas, seen))
-        assert seen == [share] * n_seqs
-        assert blas() == 4
+        with ad.thread_width(8):
+            hn.evaluate(None, seqs, jobs=jobs,
+                        tracker_fn=self.recording_tracker(blas, seen))
+            assert ad.threads() == 8
+        # each worker forks at its share, with BLAS on one thread
+        assert seen == [(share, 1)] * n_seqs
+        assert blas() == 1
 
-    def test_blas_threads_restored_when_tracker_raises(self, blas,
-                                                       monkeypatch):
+    def test_widths_restored_when_tracker_raises(self, blas, monkeypatch):
         monkeypatch.setenv("SBT_LAB_THREADS", "2")
         seqs = [hn.gen_sequence(s, length=3, frame_size=96) for s in (33, 34)]
 
         def boom(seq):
             raise RuntimeError("tracker failed")
 
-        with pytest.raises(RuntimeError, match="tracker failed"):
-            hn.evaluate(None, seqs, jobs=2, tracker_fn=boom)
-        assert blas() == 4
+        with ad.thread_width(2):
+            with pytest.raises(RuntimeError, match="tracker failed"):
+                hn.evaluate(None, seqs, jobs=2, tracker_fn=boom)
+            assert ad.threads() == 2
+        assert blas() == 1
 
     @pytest.mark.parametrize("jobs,n_seqs", [(1, 2), (2, 1)])
-    def test_single_worker_leaves_blas_threads(self, monkeypatch, jobs,
-                                               n_seqs):
+    def test_single_worker_keeps_the_callers_width(self, blas, monkeypatch,
+                                                   jobs, n_seqs):
         monkeypatch.setenv("SBT_LAB_THREADS", "2")
-        calls = []
-        monkeypatch.setattr(hn, "_openblas",
-                            lambda: (lambda: 4, calls.append))
         seqs = [hn.gen_sequence(s, length=3, frame_size=96)
                 for s in range(35, 35 + n_seqs)]
-        hn.evaluate(None, seqs, jobs=jobs, tracker_fn=hn.static_baseline)
-        assert calls == []
+        seen = []
+        with ad.thread_width(2):
+            hn.evaluate(None, seqs, jobs=jobs,
+                        tracker_fn=self.recording_tracker(blas, seen))
+        assert seen == [(2, 1)] * n_seqs
 
     @pytest.mark.parametrize("missing", ["library", "symbol"])
     def test_without_openblas_metrics_unchanged(self, monkeypatch, capsys,
@@ -501,10 +504,12 @@ class TestEvaluate:
         seqs = [hn.gen_sequence(s, length=3, frame_size=96) for s in (37, 38)]
         want = hn.evaluate(model, seqs, jobs=2)
         if missing == "library":
-            monkeypatch.setattr(hn.glob, "glob", lambda pattern: [])
+            monkeypatch.setattr(ad.glob, "glob", lambda pattern: [])
         else:
-            monkeypatch.setattr(hn.ctypes, "CDLL", lambda path: object())
-        assert hn._openblas() is None
+            monkeypatch.setattr(ad.ctypes, "CDLL", lambda path: object())
+        assert ad._openblas() is None
+        # a BLAS that cannot be pinned leaves the engine at width 1
+        assert ad.set_threads() == 1
         got = hn.evaluate(model, seqs, jobs=2)
         assert got == want
         assert capsys.readouterr() == ("", "")

@@ -403,7 +403,8 @@ class TestLayerGradients:
         def f(p):
             z = TokenMap(Tensor(zd.astype(p.dtype)), [(2, 2)], ["template"])
             x = TokenMap(Tensor(xd.astype(p.dtype)), [(2, 2)], ["search"])
-            out = urm(concat_maps([z, x]), bias_table=table)
+            zx = concat_maps([z, x])
+            out = urm(zx, bias=table.bias(zx.layout(), zx.layout()))
             return ad.sum_(out.tokens * out.tokens)
 
         assert ad.grad_check(f, ps, max_coords_per_param=8,

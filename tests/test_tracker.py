@@ -312,3 +312,67 @@ class TestTemplateUpdate:
         state = trk.init(frame, (48, 48, 32, 32), model)
         state.frame_index = 100
         assert not trk.maybe_update_template(state, frame, 0.99)
+
+
+class TestRelBiasCache:
+    @pytest.mark.parametrize("temporal", [False, True])
+    def test_gathered_once_per_session(self, monkeypatch, temporal):
+        model = make_model()
+        calls = []
+        bias = bb.RelBiasTable.bias
+
+        def counting(table, q, k):
+            calls.append(q)
+            return bias(table, q, k)
+
+        monkeypatch.setattr(bb.RelBiasTable, "bias", counting)
+        frames = [textured_frame(s) for s in range(5)]
+        cfg = trk.TrackerConfig(temporal=temporal, update_threshold=0.0,
+                                update_interval=2)
+        state = trk.init(frames[0], (48, 48, 32, 32), model, cfg)
+        for f in frames[1:]:
+            box, conf = trk.track_step(state, f)
+            trk.maybe_update_template(state, f, conf)
+        blocks = len(model.stage_blocks[-1])
+        assert len(calls) == blocks
+        # a new session gathers again
+        state = trk.init(frames[0], (48, 48, 32, 32), model, cfg)
+        trk.track_step(state, frames[1])
+        assert len(calls) == 2 * blocks
+
+    def test_cached_pass_equals_uncached(self):
+        model = make_model()
+        rng = np.random.default_rng(0)
+        cfg = model.cfg
+        z = Tensor(rng.random((3, cfg.template_size, cfg.template_size),
+                              dtype=np.float32))
+        x = Tensor(rng.random((3, cfg.search_size, cfg.search_size),
+                              dtype=np.float32))
+        cache = {}
+        with ad.no_grad():
+            zf = model.encode_early(z, "template")
+            xf = model.encode_early(x, "search")
+            want = model.forward_joint(zf, xf)[1].tokens.data
+            for _ in range(2):
+                got = model.forward_joint(zf, xf, bias_cache=cache)[1]
+                assert got.tokens.data.tobytes() == want.tobytes()
+            # the cache belongs to the session: weights changed in place
+            # show only in a session that starts afterwards
+            for table in model.bias_tables:
+                table.table.data += 0.5
+            fresh = model.forward_joint(zf, xf, bias_cache={})[1].tokens.data
+            assert fresh.tobytes() == model.forward_joint(
+                zf, xf)[1].tokens.data.tobytes()
+            assert fresh.tobytes() != want.tobytes()
+
+    def test_refused_while_recording(self):
+        model = make_model()
+        cfg = model.cfg
+        z = model.encode_early(Tensor(np.zeros((3, cfg.template_size,
+                                                cfg.template_size),
+                                               dtype=np.float32)), "template")
+        x = model.encode_early(Tensor(np.zeros((3, cfg.search_size,
+                                                cfg.search_size),
+                                               dtype=np.float32)), "search")
+        with pytest.raises(ContractError, match="no_grad"):
+            model.forward_joint(z, x, bias_cache={})
