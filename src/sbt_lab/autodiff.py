@@ -1,11 +1,15 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float32 by default, float64 for gradient
-checking). Every differentiable op builds a node in a dynamic graph;
-``backward(loss)`` replays the graph in reverse topological order and
-accumulates gradients into leaf tensors.
+checking). Every differentiable op records a node in a dynamic graph;
+``backward(loss)`` runs the graph in reverse topological order,
+accumulates gradients into leaf tensors and consumes the graph as it
+goes: each node drops its closure and parent links once it has run.
+Re-run the forward pass to differentiate again.
 
-The graph is single-use: re-run the forward pass to differentiate again.
+A node is kept apart from the tensor it belongs to and holds no tensor
+data of its own. Its closure keeps exactly the arrays its backward reads,
+so an activation that no backward reads is freed with its tensor.
 
 The engine owns the process's threads. numpy's OpenBLAS is pinned to one
 thread, and the large float32 ops split their work over a fork-join of
@@ -299,21 +303,78 @@ def _ewise(ufunc, x: np.ndarray, y) -> np.ndarray:
                  len(x), p, x.shape)
 
 
+class _Node:
+    """The graph record of a recorded op's output: its gradient, the nodes
+    of the recorded ops that made its inputs, and the closure that maps
+    its gradient to its inputs'.
+
+    It holds no tensor data: the closure keeps exactly the arrays its
+    backward reads, so an output that no backward reads dies with its
+    Tensor. ``backward`` drops the closure and the parent links once the
+    node has run.
+    """
+
+    __slots__ = ("grad", "dtype", "parents", "backward")
+
+    def __init__(self, dtype, parents: tuple,
+                 backward: Callable[[np.ndarray], None]):
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
+        self.parents = parents
+        self.backward: Optional[Callable[[np.ndarray], None]] = backward
+
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
+        self.grad = _accumulated(self.grad, g, self.dtype, owned)
+
+
+def _accumulated(grad, g: np.ndarray, dtype, owned: bool) -> np.ndarray:
+    """grad + g, added in place into grad when there is one.
+
+    owned=True promises g is a freshly allocated array used nowhere else,
+    letting the first accumulation skip a full copy.
+    """
+    if grad is None:
+        if owned and g.dtype == dtype:
+            return g
+        return g.astype(dtype, copy=True)
+    grad += g
+    return grad
+
+
 class Tensor:
-    """A dense n-d float array, optionally participating in the grad graph."""
+    """A dense n-d float array, optionally participating in the grad graph.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A leaf keeps its own gradient; the output of a recorded op keeps it in
+    that op's node.
+    """
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
+
+    def __init__(self, data, requires_grad=False):
         if not isinstance(data, np.ndarray):
             data = np.asarray(data)
             if not np.issubdtype(data.dtype, np.floating):
                 data = data.astype(DEFAULT_DTYPE)
         self.data = data
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents: tuple = _parents
-        self._backward: Optional[Callable[[np.ndarray], None]] = None if _backward is None else _backward
+        self._grad: Optional[np.ndarray] = None
+        self._node: Optional[_Node] = None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]):
+        if self._node is None:
+            self._grad = g
+        else:
+            self._node.grad = g
+
+    @property
+    def _backward(self) -> Optional[Callable[[np.ndarray], None]]:
+        """The recording op's backward; None for a leaf or once consumed."""
+        return None if self._node is None else self._node.backward
 
     @property
     def shape(self):
@@ -330,15 +391,11 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False):
-        # owned=True promises g is a freshly allocated array used nowhere
-        # else, letting the first accumulation skip a full copy
-        if self.grad is None:
-            if owned and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = g.astype(self.data.dtype, copy=True)
+        # owned=True: see _accumulated
+        if self._node is None:
+            self._grad = _accumulated(self._grad, g, self.data.dtype, owned)
         else:
-            self.grad += g
+            self._node.accumulate_grad(g, owned)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -377,13 +434,25 @@ def tensor(data, requires_grad=False, dtype=None) -> Tensor:
 
 def _tracked(*tensors: Tensor) -> bool:
     return _grad_mode.enabled and any(
-        t.requires_grad or t._backward is not None for t in tensors
+        t.requires_grad or t._node is not None for t in tensors
     )
 
 
-def _node(data, parents, backward_fn) -> Tensor:
-    out = Tensor(data, _parents=tuple(parents))
-    out._backward = backward_fn
+def _sink(t: Tensor):
+    """What a backward accumulates t's gradient into: the node of the op
+    that made t, else t itself. Unlike t, a node pins no data."""
+    return t if t._node is None else t._node
+
+
+def _recorded(data: np.ndarray, parents, backward_fn) -> Tensor:
+    """data as the output of a recorded op on `parents`.
+
+    backward_fn(g) must reach its inputs through _sink and keep only the
+    arrays it reads, never a Tensor.
+    """
+    out = Tensor(data)
+    out._node = _Node(data.dtype, tuple(p._node for p in parents
+                                        if p._node is not None), backward_fn)
     return out
 
 
@@ -408,19 +477,19 @@ def add(a: Tensor, b) -> Tensor:
         if not _tracked(a):
             return Tensor(data)
 
-        def bwd(g, a=a):
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+        def bwd(g, ra=_sink(a), shape=a.data.shape):
+            ra.accumulate_grad(_unbroadcast(g, shape))
 
-        return _node(data, (a,), bwd)
+        return _recorded(data, (a,), bwd)
     data = _ewise(np.add, a.data, b.data)
     if not _tracked(a, b):
         return Tensor(data)
 
-    def bwd(g, a=a, b=b):
-        a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        b.accumulate_grad(_unbroadcast(g, b.data.shape))
+    def bwd(g, ra=_sink(a), rb=_sink(b), sa=a.data.shape, sb=b.data.shape):
+        ra.accumulate_grad(_unbroadcast(g, sa))
+        rb.accumulate_grad(_unbroadcast(g, sb))
 
-    return _node(data, (a, b), bwd)
+    return _recorded(data, (a, b), bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -429,20 +498,20 @@ def mul(a: Tensor, b) -> Tensor:
         if not _tracked(a):
             return Tensor(data)
 
-        def bwd(g, a=a, b=b):
-            a.accumulate_grad(_unbroadcast(_ewise(np.multiply, g, b),
-                                           a.data.shape), owned=True)
+        def bwd(g, ra=_sink(a), shape=a.data.shape, b=b):
+            ra.accumulate_grad(_unbroadcast(_ewise(np.multiply, g, b), shape),
+                               owned=True)
 
-        return _node(data, (a,), bwd)
+        return _recorded(data, (a,), bwd)
     data = a.data * b.data
     if not _tracked(a, b):
         return Tensor(data)
 
-    def bwd(g, a=a, b=b):
-        a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape), owned=True)
+    def bwd(g, ra=_sink(a), rb=_sink(b), x=a.data, y=b.data):
+        ra.accumulate_grad(_unbroadcast(g * y, x.shape), owned=True)
+        rb.accumulate_grad(_unbroadcast(g * x, y.shape), owned=True)
 
-    return _node(data, (a, b), bwd)
+    return _recorded(data, (a, b), bwd)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
@@ -450,14 +519,14 @@ def pow_const(a: Tensor, p: float) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, p=p, data=data):
+    def bwd(g, ra=_sink(a), x=a.data, p=p):
         if p == 2.0:
-            deriv = 2.0 * a.data
+            deriv = 2.0 * x
         else:
-            deriv = p * a.data ** (p - 1.0)
-        a.accumulate_grad(g * deriv, owned=True)
+            deriv = p * x ** (p - 1.0)
+        ra.accumulate_grad(g * deriv, owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -465,10 +534,10 @@ def log(a: Tensor) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a):
-        a.accumulate_grad(g / a.data, owned=True)
+    def bwd(g, ra=_sink(a), x=a.data):
+        ra.accumulate_grad(g / x, owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -476,10 +545,10 @@ def absolute(a: Tensor) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a):
-        a.accumulate_grad(g * np.sign(a.data), owned=True)
+    def bwd(g, ra=_sink(a), x=a.data):
+        ra.accumulate_grad(g * np.sign(x), owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -487,10 +556,10 @@ def relu(a: Tensor) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a):
-        a.accumulate_grad(g * (a.data > 0), owned=True)
+    def bwd(g, ra=_sink(a), x=a.data):
+        ra.accumulate_grad(g * (x > 0), owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -498,10 +567,10 @@ def sigmoid(a: Tensor) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, data=data):
-        a.accumulate_grad(g * data * (1.0 - data), owned=True)
+    def bwd(g, ra=_sink(a), data=data):
+        ra.accumulate_grad(g * data * (1.0 - data), owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 # GELU's float32 kernel. Phi(-a) for a = |x| >= 0 comes from Abramowitz &
@@ -595,10 +664,10 @@ def gelu(a: Tensor) -> Tensor:
     if not tracked:
         return Tensor(data)
 
-    def bwd(g, a=a, deriv=deriv):
-        a.accumulate_grad(_ewise(np.multiply, g, deriv), owned=True)
+    def bwd(g, ra=_sink(a), deriv=deriv):
+        ra.accumulate_grad(_ewise(np.multiply, g, deriv), owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +679,10 @@ def reshape(a: Tensor, shape) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a):
-        a.accumulate_grad(g.reshape(a.data.shape))
+    def bwd(g, ra=_sink(a), shape=a.data.shape):
+        ra.accumulate_grad(g.reshape(shape))
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -622,10 +691,10 @@ def transpose(a: Tensor, axes) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, inv=tuple(inv)):
-        a.accumulate_grad(np.transpose(g, inv))
+    def bwd(g, ra=_sink(a), inv=tuple(inv)):
+        ra.accumulate_grad(np.transpose(g, inv))
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -635,13 +704,14 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def bwd(g, parts=tuple(parts), offsets=offsets, axis=axis):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+    def bwd(g, sinks=tuple(_sink(p) for p in parts), offsets=offsets,
+            axis=axis):
+        for p, lo, hi in zip(sinks, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             p.accumulate_grad(g[tuple(sl)])
 
-    return _node(data, parts, bwd)
+    return _recorded(data, parts, bwd)
 
 
 def index(a: Tensor, sl) -> Tensor:
@@ -650,12 +720,21 @@ def index(a: Tensor, sl) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, sl=sl):
-        gi = np.zeros_like(a.data)
-        gi[sl] = g
-        a.accumulate_grad(gi, owned=True)
+    # the gradient takes a's memory layout, as np.zeros_like(a.data) gives
+    # it; an array neither C- nor F-ordered is kept to copy its layout from
+    x = a.data
+    order = "C" if x.flags.c_contiguous else "F" if x.flags.f_contiguous else None
 
-    return _node(data, (a,), bwd)
+    def bwd(g, ra=_sink(a), shape=x.shape, dtype=x.dtype, order=order,
+            like=None if order else x, sl=sl):
+        if like is None:
+            gi = np.zeros(shape, dtype=dtype, order=order)
+        else:
+            gi = np.zeros_like(like)
+        gi[sl] = g
+        ra.accumulate_grad(gi, owned=True)
+
+    return _recorded(data, (a,), bwd)
 
 
 def _row_scatter(idx: np.ndarray, rows: int, dtype):
@@ -682,17 +761,17 @@ def take_rows(a: Tensor, idx: np.ndarray,
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, idx=idx, cache=scatter_cache):
-        dtype = a.data.dtype
+    def bwd(g, ra=_sink(a), shape=a.data.shape, dtype=a.data.dtype, idx=idx,
+            cache=scatter_cache):
         s = None if cache is None else cache.get(dtype)
         if s is None:
-            s = _row_scatter(idx, a.data.shape[0], dtype)
+            s = _row_scatter(idx, shape[0], dtype)
             if cache is not None:
                 cache[dtype] = s
-        gi = (s @ g.reshape(len(idx), -1)).reshape(a.data.shape)
-        a.accumulate_grad(gi, owned=True)
+        gi = (s @ g.reshape(len(idx), -1)).reshape(shape)
+        ra.accumulate_grad(gi, owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -700,12 +779,12 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, axis=axis, keepdims=keepdims):
+    def bwd(g, ra=_sink(a), shape=a.data.shape, axis=axis, keepdims=keepdims):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape))
+        ra.accumulate_grad(np.broadcast_to(g, shape))
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -728,13 +807,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not _tracked(a, b):
         return Tensor(data)
 
-    def bwd(g, a=a, b=b):
-        ga = _batched_matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = _batched_matmul(np.swapaxes(a.data, -1, -2), g)
-        a.accumulate_grad(_unbroadcast(ga, a.data.shape), owned=True)
-        b.accumulate_grad(_unbroadcast(gb, b.data.shape), owned=True)
+    def bwd(g, ra=_sink(a), rb=_sink(b), x=a.data, y=b.data):
+        ga = _batched_matmul(g, np.swapaxes(y, -1, -2))
+        gb = _batched_matmul(np.swapaxes(x, -1, -2), g)
+        ra.accumulate_grad(_unbroadcast(ga, x.shape), owned=True)
+        rb.accumulate_grad(_unbroadcast(gb, y.shape), owned=True)
 
-    return _node(data, (a, b), bwd)
+    return _recorded(data, (a, b), bwd)
 
 
 def _batched_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -789,15 +868,16 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if not _tracked(*parents):
         return Tensor(data)
 
-    def bwd(g, x=x, w=w, b=b):
-        x.accumulate_grad(_matmul_rows(g, w.data.T), owned=True)
-        xd = x.data.reshape(-1, x.data.shape[-1])
+    def bwd(g, rx=_sink(x), rw=_sink(w), rb=None if b is None else _sink(b),
+            xd=x.data, wd=w.data):
+        rx.accumulate_grad(_matmul_rows(g, wd.T), owned=True)
+        x2 = xd.reshape(-1, xd.shape[-1])
         gd = g.reshape(-1, g.shape[-1])
-        w.accumulate_grad(_matmul_cols(xd.T, gd), owned=True)
-        if b is not None:
-            b.accumulate_grad(gd.sum(axis=0), owned=True)
+        rw.accumulate_grad(_matmul_cols(x2.T, gd), owned=True)
+        if rb is not None:
+            rb.accumulate_grad(gd.sum(axis=0), owned=True)
 
-    return _node(data, parents, bwd)
+    return _recorded(data, parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -821,16 +901,16 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    def bwd(g, a=a, data=data):
+    def bwd(g, ra=_sink(a), data=data):
         def rows(lo, hi, out):
             gs, ds = g[lo:hi], data[lo:hi]
             dot = (gs * ds).sum(axis=-1, keepdims=True)
             return np.multiply(ds, gs - dot, out=out)
 
-        a.accumulate_grad(_rows(rows, len(g), _row_parts(g, data), g.shape),
-                          owned=True)
+        ra.accumulate_grad(_rows(rows, len(g), _row_parts(g, data), g.shape),
+                           owned=True)
 
-    return _node(data, (a,), bwd)
+    return _recorded(data, (a,), bwd)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -869,23 +949,23 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if not tracked:
         return Tensor(data)
 
-    def bwd(g, a=a, gamma=gamma, beta=beta, xhat=xhat, inv_std=inv_std, c=c):
+    def bwd(g, ra=_sink(a), rgamma=_sink(gamma), rbeta=_sink(beta), gd=gd,
+            xhat=xhat, inv_std=inv_std):
         red = tuple(range(g.ndim - 1))
-        gamma.accumulate_grad((g * xhat).sum(axis=red), owned=True)
-        beta.accumulate_grad(g.sum(axis=red), owned=True)
+        rgamma.accumulate_grad((g * xhat).sum(axis=red), owned=True)
+        rbeta.accumulate_grad(g.sum(axis=red), owned=True)
 
         def rows(lo, hi, out):
             xs = xhat[lo:hi]
-            dxhat = g[lo:hi] * gamma.data
+            dxhat = g[lo:hi] * gd
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xs).mean(axis=-1, keepdims=True)
             return np.multiply(inv_std[lo:hi], dxhat - m1 - xs * m2, out=out)
 
-        a.accumulate_grad(
-            _rows(rows, len(g), _row_parts(g, xhat, gamma.data), g.shape),
-            owned=True)
+        ra.accumulate_grad(_rows(rows, len(g), _row_parts(g, xhat, gd), g.shape),
+                           owned=True)
 
-    return _node(data, (a, gamma, beta), bwd)
+    return _recorded(data, (a, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -950,28 +1030,32 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
     if not _tracked(*parents):
         return Tensor(data)
 
-    def bwd(g, t=t, w=w, b=b, patches=patches, col=col):
-        if b is not None:
-            b.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
+    # depthwise reads the patches, dense the col matrix (a copy unless the
+    # windows tile the map); both read the weight
+    def bwd(g, rt=_sink(t), rw=_sink(w), rb=None if b is None else _sink(b),
+            dtype=t.data.dtype, wd=w.data, patches=patches if depthwise else None,
+            col=col):
+        if rb is not None:
+            rb.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
         ph, pw = h + 2 * padding, win + 2 * padding
-        dpad = np.zeros((cin, ph, pw), dtype=t.data.dtype)
+        dpad = np.zeros((cin, ph, pw), dtype=dtype)
         if depthwise:
-            w.accumulate_grad(
+            rw.accumulate_grad(
                 np.einsum("chw,chwij->cij", g, patches, optimize=True)[:, None],
                 owned=True,
             )
         else:
             gm = g.reshape(cout, -1)
-            w.accumulate_grad(_matmul_cols(gm, col).reshape(w.data.shape),
-                              owned=True)
-            dcol = _matmul_rows(gm.T, w.data.reshape(cout, -1))
+            rw.accumulate_grad(_matmul_cols(gm, col).reshape(wd.shape),
+                               owned=True)
+            dcol = _matmul_rows(gm.T, wd.reshape(cout, -1))
             dpatch = dcol.reshape(ho, wo, cin, k, k).transpose(2, 0, 1, 3, 4)
 
         def scatter(c0, c1):  # input channels c0..c1, every tap in order
             for i in range(k):
                 for j in range(k):
                     if depthwise:
-                        d = g[c0:c1] * w.data[c0:c1, 0, i, j][:, None, None]
+                        d = g[c0:c1] * wd[c0:c1, 0, i, j][:, None, None]
                     else:
                         d = dpatch[c0:c1, :, :, i, j]
                     dpad[c0:c1, i:i + stride * (ho - 1) + 1:stride,
@@ -980,9 +1064,9 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
         fork(scatter, cin, fork_parts(cin, cin * ho * wo * k * k, dpad, g))
         if padding:
             dpad = dpad[:, padding:-padding, padding:-padding]
-        t.accumulate_grad(dpad, owned=True)
+        rt.accumulate_grad(dpad, owned=True)
 
-    return _node(data, parents, bwd)
+    return _recorded(data, parents, bwd)
 
 
 # output values per row block of the depthwise kernel: each block runs all
@@ -1055,9 +1139,10 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
     if not _tracked(*parents):
         return Tensor(data)
 
-    def bwd(g, tokens=tokens, w=w, b=b, pmap=pmap, taps=taps):
-        if b is not None:
-            b.accumulate_grad(g.sum(axis=0), owned=True)
+    def bwd(g, rt=_sink(tokens), rw=_sink(w), rb=None if b is None else _sink(b),
+            pmap=pmap, taps=taps):
+        if rb is not None:
+            rb.accumulate_grad(g.sum(axis=0), owned=True)
         g2 = g.reshape(h, row)
         dw = np.empty((9, c), dtype=dtype)
         dmap = np.zeros((h + 2, wd + 2, c), dtype=dtype)
@@ -1070,7 +1155,7 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
                 wd, c).sum(axis=0)
             np.multiply(g2, taps[k], out=tmp)
             dflat[i:i + h, cols] += tmp
-        w.accumulate_grad(dw.T.reshape(c, 1, 3, 3), owned=True)
+        rw.accumulate_grad(dw.T.reshape(c, 1, 3, 3), owned=True)
         if pad == "edge":
             # each border cell copied an edge token: fold its gradient back,
             # columns first so the corners reach the corner tokens
@@ -1078,9 +1163,9 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
             dmap[:, -2] += dmap[:, -1]
             dmap[1] += dmap[0]
             dmap[-2] += dmap[-1]
-        tokens.accumulate_grad(dmap[1:-1, 1:-1].reshape(length, c), owned=True)
+        rt.accumulate_grad(dmap[1:-1, 1:-1].reshape(length, c), owned=True)
 
-    return _node(data, parents, bwd)
+    return _recorded(data, parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,17 +1173,23 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor):
-    """Populate gradients of every reachable requires_grad leaf."""
+    """Populate gradients of every reachable requires_grad leaf.
+
+    Consumes the graph: each node drops its closure, and with it the
+    arrays the closure kept, and its parent links once it has run. A
+    second backward through any of its nodes raises ContractError.
+    """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward expects a scalar Tensor loss")
-    if loss._backward is None and not loss._parents:
+    root = loss._node
+    if root is None:
         raise ContractError("loss is not connected to the gradient graph")
     if not np.isfinite(loss.data).all():
         raise NumericError("loss is not finite")
 
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     visited: set[int] = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -1106,18 +1197,23 @@ def backward(loss: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node.backward is None:
+            raise ContractError("the loss's graph was consumed by an earlier "
+                                "backward; re-run the forward pass")
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in visited:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            if node is not loss:
+        fn, node.backward, node.parents = node.backward, None, ()
+        if node.grad is not None:
+            fn(node.grad)
+            if node is not root:
                 node.grad = None  # free intermediate gradients
+        del fn  # the closure's arrays go now, not at the next node
 
 
 # ---------------------------------------------------------------------------

@@ -346,15 +346,7 @@ def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
         else:
             seq = sequences[int(rng.integers(0, len(sequences)))]
             template, search, gt = sample_pair(seq, model.cfg, rng)
-        _, f_x = model.forward_pair(Tensor(template), Tensor(search))
-        out = model.head(f_x)
-        loss, parts = total_loss(out, gt)
-        if not np.isfinite(loss.data).all():
-            raise NumericError(f"non-finite loss at step {step}")
-        model.store.zero_grad()
-        ad.backward(loss)
-        clip_grad_norm(model.store, GRAD_CLIP)
-        opt.step()
+        parts = _train_step(model, opt, template, search, gt, step)
         result.losses.append(parts["total"])
         result.components.append(parts)
         if log_fn is not None and (step % log_every == 0 or step == steps - 1):
@@ -362,6 +354,26 @@ def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
         if stop_fn is not None and stop_fn(step, parts):
             break
     return result
+
+
+def _train_step(model: Model, opt: AdamW, template, search, gt,
+                step: int) -> dict:
+    """One forward, backward, clip and AdamW update; returns the loss parts.
+
+    The last step's gradients go before the forward, so the graph never
+    sits on top of them. backward consumes the graph, and the step's
+    outputs die with this frame: between steps only the parameters, their
+    gradients and the AdamW moments stay alive.
+    """
+    model.store.zero_grad()
+    _, f_x = model.forward_pair(Tensor(template), Tensor(search))
+    loss, parts = total_loss(model.head(f_x), gt)
+    if not np.isfinite(loss.data).all():
+        raise NumericError(f"non-finite loss at step {step}")
+    ad.backward(loss)
+    clip_grad_norm(model.store, GRAD_CLIP)
+    opt.step()
+    return parts
 
 
 def pretrain_loop(pretrainer: MimPretrainer, sequences, steps: int,

@@ -9,21 +9,81 @@ from .autodiff import ParamStore
 from .errors import ContractError
 
 
+# values per leaf of clip_grad_norm's sum: a leaf's float64 squares stay
+# in cache
+_NORM_LEAF = 1 << 16
+
+
+def _pairwise_leaves(n: int) -> list:
+    """The ranges, in order, at which numpy's pairwise summation of n
+    values splits down to _NORM_LEAF values or fewer."""
+    if n <= _NORM_LEAF:
+        return [(0, n)]
+    half = n // 2
+    half -= half % 8  # numpy's split point
+    return _pairwise_leaves(half) + [(half + lo, half + hi)
+                                     for lo, hi in _pairwise_leaves(n - half)]
+
+
+def _pairwise_total(leaf_sums, n: int) -> float:
+    """The sums of _pairwise_leaves(n), taken in order from the leaf_sums
+    iterator, added up as numpy's pairwise summation adds its halves."""
+    if n <= _NORM_LEAF:
+        return next(leaf_sums)
+    half = n // 2
+    half -= half % 8
+    left = _pairwise_total(leaf_sums, half)
+    return left + _pairwise_total(leaf_sums, n - half)
+
+
 def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     Returns the pre-clip norm. Parameters without a gradient are skipped.
+    Each gradient's squares are summed in float64 a cache-sized leaf at a
+    time over the fork-join, and the leaf sums are added up along numpy's
+    pairwise-summation tree: the norm is bitwise that of summing each
+    gradient's float64 squares with np.sum, at every width.
     """
+    grads = [p.grad for _, p in params.items() if p.grad is not None]
+    # each gradient's values in memory order, the order np.sum adds them
+    # in: a view, unless the gradient has no single memory order
+    flats = [np.ravel(g, order="K") for g in grads]
+    leaves = [(k, lo, hi) for k, flat in enumerate(flats)
+              for lo, hi in _pairwise_leaves(flat.size)]
+    values = sum(f.size for f in flats)
+    sums = np.empty(len(leaves))
+
+    def square_sums(start, stop):
+        buf = np.empty(_NORM_LEAF, dtype=np.float64)
+        for i in range(start, stop):
+            k, lo, hi = leaves[i]
+            sq = buf[:hi - lo]
+            sq[...] = flats[k][lo:hi]
+            sq *= sq
+            sums[i] = sq.sum()
+
+    ad.fork(square_sums, len(leaves),
+            ad.fork_parts(len(leaves), 3 * values, *flats))
+    leaf_sums = iter(sums.tolist())
     total = 0.0
-    for _, p in params.items():
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    for flat in flats:
+        total += _pairwise_total(leaf_sums, flat.size)
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
-        for _, p in params.items():
-            if p.grad is not None:
-                p.grad *= scale
+        # a gradient read through a copy is scaled whole, the rest by leaf
+        views = [np.may_share_memory(g, f) for g, f in zip(grads, flats)]
+        for g, view in zip(grads, views):
+            if not view:
+                g *= scale
+        blocks = [leaf for leaf in leaves if views[leaf[0]]]
+
+        def rescale(start, stop):
+            for k, lo, hi in blocks[start:stop]:
+                flats[k][lo:hi] *= scale
+
+        ad.fork(rescale, len(blocks), ad.fork_parts(len(blocks), values, *flats))
     return norm
 
 

@@ -1,5 +1,7 @@
 import os
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from sbt_lab import harness as hn
 from sbt_lab import tracker as trk
 from sbt_lab.autodiff import Tensor
 from sbt_lab.errors import ConfigError, ContractError, FormatError, NumericError
+from sbt_lab.loss import total_loss
 
 from test_backbone import tiny_urm_config
 import sbt_lab.backbone as bb
@@ -353,6 +356,58 @@ class TestTrainLoop:
         res = hn.train_loop(model, [], steps=12, lr=3e-3, weight_decay=0.0,
                             fixed_sample=sample)
         assert res.losses[-1] < res.losses[0]
+
+
+def _traced_peak(model, steps, sample):
+    """tracemalloc's peak over a train_loop of `steps` on fixed_sample."""
+    tracemalloc.start()
+    try:
+        hn.train_loop(model, [], steps=steps, fixed_sample=sample)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    def test_activations_die_with_backward(self, monkeypatch):
+        model = tiny_model()
+        refs = []
+        real_gelu = ad.gelu
+
+        def gelu(a):
+            out = real_gelu(a)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ad, "gelu", gelu)
+        seq = hn.gen_sequence(15, length=3, frame_size=96)
+        template, search, gt = hn.sample_pair(seq, model.cfg,
+                                              np.random.default_rng(0))
+        _, f_x = model.forward_pair(Tensor(template), Tensor(search))
+        out = model.head(f_x)
+        loss, _ = total_loss(out, gt)
+        # each gelu output is read by the linear after it
+        assert refs and all(r() is not None for r in refs)
+        ad.backward(loss)
+        assert all(r() is None for r in refs)
+        assert out.score.data.size and np.isfinite(loss.data).all()
+
+    def test_later_steps_hold_no_earlier_graph(self):
+        # small channels on a large image: activations dwarf parameters,
+        # so a step that keeps its predecessor's graph about doubles the
+        # peak, where the AdamW moments made in step 0 add about a sixth
+        def model():
+            return bb.build_variant(tiny_urm_config(search=256, template=128,
+                                                    pe="none"), seed=0)
+
+        rng = np.random.default_rng(0)
+        sample = (rng.random((3, 128, 128), dtype=np.float32),
+                  rng.random((3, 256, 256), dtype=np.float32),
+                  (0.5, 0.5, 0.25, 0.25))
+        _traced_peak(model(), 1, sample)  # first-call allocations
+        one = _traced_peak(model(), 1, sample)
+        three = _traced_peak(model(), 3, sample)
+        assert three <= 1.3 * one, (one, three)
 
 
 class TestMetrics:

@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sbt_lab.autodiff import (
 )
 from sbt_lab.errors import ContractError, DimensionError
 from sbt_lab.layers import Mlp
-from sbt_lab.optim import AdamW
+from sbt_lab.optim import AdamW, clip_grad_norm
 
 F64 = np.float64
 
@@ -498,6 +499,122 @@ class TestBackward:
             backward(tensor([1.0]))
 
 
+def _recorded_input(arr):
+    """arr as the output of a recorded op, so a backward reaches it through
+    its node, not through a leaf Tensor."""
+    return ad.mul(Tensor(arr, requires_grad=True), 1.0)
+
+
+def _captured(fn):
+    """The objects a backward closure keeps: its defaults and free
+    variables, with tuples opened one level."""
+    found = list(fn.__defaults__ or ()) + [c.cell_contents
+                                           for c in fn.__closure__ or ()]
+    return found + [y for x in found if isinstance(x, tuple) for y in x]
+
+
+# (name, op, input shapes, inputs whose memory the backward keeps, whether
+# it keeps the output's)
+GRAPH_RECORDS = [
+    ("add", lambda a, b: ad.add(a, b), [(4, 6), (4, 6)], (), False),
+    ("add-scalar", lambda a: ad.add(a, 2.0), [(4, 6)], (), False),
+    ("mul", lambda a, b: ad.mul(a, b), [(4, 6), (4, 6)], (0, 1), False),
+    ("mul-scalar", lambda a: ad.mul(a, 0.5), [(4, 6)], (), False),
+    ("pow", lambda a: ad.pow_const(a, 3.0), [(4, 6)], (0,), False),
+    ("log", lambda a: ad.log(ad.absolute(a)), [(4, 6)], (), False),
+    ("absolute", lambda a: ad.absolute(a), [(4, 6)], (0,), False),
+    ("relu", lambda a: ad.relu(a), [(4, 6)], (0,), False),
+    ("sigmoid", lambda a: ad.sigmoid(a), [(4, 6)], (), True),
+    ("softmax", lambda a: softmax_lastdim(a), [(4, 6)], (), True),
+    ("gelu", lambda a: gelu(a), [(4, 6)], (), False),
+    ("layer_norm", lambda a, g, b: layer_norm(a, g, b),
+     [(4, 6), (6,), (6,)], (1,), False),
+    ("reshape", lambda a: ad.reshape(a, (6, 4)), [(4, 6)], (), False),
+    ("transpose", lambda a: ad.transpose(a, (1, 0)), [(4, 6)], (), False),
+    ("concat", lambda a, b: ad.concat([a, b], axis=0), [(4, 6), (2, 6)],
+     (), False),
+    ("index", lambda a: ad.index(a, (slice(1, 3), slice(None))), [(4, 6)],
+     (), False),
+    ("take_rows", lambda a: ad.take_rows(a, np.array([3, 0, 3])), [(4, 6)],
+     (), False),
+    ("sum", lambda a: ad.sum_(a, axis=0), [(4, 6)], (), False),
+    ("matmul", lambda a, b: matmul(a, b), [(2, 4, 6), (2, 6, 3)], (0, 1),
+     False),
+    ("linear", lambda x, w, b: linear(x, w, b), [(4, 6), (6, 3), (3,)],
+     (0, 1), False),
+    ("conv2d", lambda t, w, b: conv2d(t, w, b, stride=2, padding=1),
+     [(2, 6, 6), (3, 2, 3, 3), (3,)], (1,), False),
+    ("conv2d-depthwise",
+     lambda t, w: conv2d(t, w, None, stride=1, padding=1, groups=2),
+     [(2, 6, 6), (2, 1, 3, 3)], (1,), False),
+    ("depthwise_conv3x3",
+     lambda t, w, b: depthwise_conv3x3(t, (3, 4), w, b, pad="edge"),
+     [(12, 2), (2, 1, 3, 3), (2,)], (), False),
+]
+
+
+class TestGraphRecords:
+    @pytest.mark.parametrize("name,fn,shapes,reads,reads_out", GRAPH_RECORDS,
+                             ids=[r[0] for r in GRAPH_RECORDS])
+    def test_backward_keeps_only_what_it_reads(self, name, fn, shapes, reads,
+                                               reads_out):
+        rng = np.random.default_rng(30)
+        inputs = [_recorded_input(rng.normal(size=s) + 2.0) for s in shapes]
+        out = fn(*inputs)
+        kept = _captured(out._backward)
+        assert not any(isinstance(x, Tensor) for x in kept)
+        arrays = [x for x in kept if isinstance(x, np.ndarray)]
+
+        def pinned(a):
+            return any(np.may_share_memory(a, x) for x in arrays)
+
+        assert [i for i, t in enumerate(inputs) if pinned(t.data)] == list(reads)
+        assert pinned(out.data) == reads_out
+
+    def test_unread_activation_freed_before_backward(self):
+        # linear's output feeds only gelu, which keeps its derivative
+        x = _recorded_input(np.ones((3, 4)))
+        w = _recorded_input(np.ones((4, 5)))
+        h = linear(x, w)
+        ref = weakref.ref(h.data)
+        y = gelu(h)
+        del h
+        assert ref() is None
+        assert y._backward is not None
+
+
+class TestBackwardConsumesGraph:
+    def test_activations_freed_while_loss_and_outputs_held(self):
+        w = t64(np.full((3, 3), 0.1), rg=True)
+        h = gelu(matmul(t64(np.ones((2, 3))), w))
+        ref = weakref.ref(h.data)
+        out = matmul(h, w)
+        loss = ad.sum_(out * out)
+        del h
+        assert ref() is not None  # the second matmul's backward reads it
+        backward(loss)
+        assert ref() is None
+        assert loss.grad is not None and out.data.shape == (2, 3)
+        assert w.grad is not None
+
+    def test_second_backward_is_one_line_contract_error(self):
+        x = t64([2.0], rg=True)
+        loss = ad.sum_(x * x)
+        backward(loss)
+        with pytest.raises(ContractError) as e:
+            backward(loss)
+        assert "\n" not in str(e.value) and "consumed" in str(e.value)
+        np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_new_graph_on_consumed_output_rejected(self):
+        x = t64([2.0], rg=True)
+        y = x * x
+        backward(ad.sum_(y))
+        with pytest.raises(ContractError):
+            backward(ad.sum_(y * x))
+        np.testing.assert_allclose(x.grad, [4.0])
+
+
 class TestNoGradThreads:
     def test_overlapping_blocks_stay_per_thread(self):
         # A enters, B enters, A exits, B exits: the interleaving under
@@ -685,6 +802,71 @@ class TestAdamWBlocks:
         for name, p in ps.items():
             assert p.data.dtype == ref[name].dtype
             np.testing.assert_array_equal(p.data, ref[name])
+
+
+def clip_reference_norm(grads):
+    return math.sqrt(math.fsum(float(v) ** 2 for g in grads
+                               for v in g.reshape(-1)))
+
+
+class TestClipGradNorm:
+    @staticmethod
+    def store(rng, shapes, scale=1.0):
+        ps = ParamStore()
+        for i, shape in enumerate(shapes):
+            p = ps.add(f"p{i}", np.zeros(shape, dtype=np.float32))
+            p.grad = (rng.normal(size=shape) * scale).astype(np.float32)
+        return ps
+
+    # several pairwise leaves, a ragged one, a matrix and a scalar
+    SHAPES = [(3 * 65536 + 11,), (300, 7), (1,)]
+
+    def test_returns_pre_clip_norm(self):
+        ps = self.store(np.random.default_rng(40), self.SHAPES)
+        grads = [p.grad.copy() for _, p in ps.items()]
+        norm = clip_grad_norm(ps, 1e-3)
+        ref = clip_reference_norm(grads)
+        assert abs(norm - ref) <= 1e-12 * ref
+        # the whole-array float64 sum, bit for bit
+        assert norm == float(np.sqrt(sum(
+            float(np.sum(g.astype(np.float64) ** 2)) for g in grads)))
+
+    @pytest.mark.parametrize("max_norm_factor", [1.0, 2.0])
+    def test_untouched_at_or_below_max_norm(self, max_norm_factor):
+        ps = self.store(np.random.default_rng(41), self.SHAPES)
+        grads = [p.grad.copy() for _, p in ps.items()]
+        norm = clip_grad_norm(ps, float("inf"))
+        assert clip_grad_norm(ps, norm * max_norm_factor) == norm
+        for g, (_, p) in zip(grads, ps.items()):
+            assert p.grad.tobytes() == g.tobytes()
+
+    def test_scaled_above_max_norm(self):
+        ps = self.store(np.random.default_rng(42), self.SHAPES)
+        # a gradient in no single memory order is scaled too
+        strided = np.random.default_rng(43).normal(size=(6, 8)).astype(
+            np.float32)[:, ::2]
+        ps.add("strided", np.zeros((6, 4), dtype=np.float32)).grad = strided
+        grads = [p.grad.copy() for _, p in ps.items()]
+        norm = clip_grad_norm(ps, 0.5)
+        assert norm > 0.5
+        for g, (_, p) in zip(grads, ps.items()):
+            assert p.grad.dtype == np.float32
+            np.testing.assert_array_equal(p.grad, g * (0.5 / norm))
+        assert clip_reference_norm([p.grad for _, p in ps.items()]) == \
+            pytest.approx(0.5, rel=1e-6)
+
+    def test_parameters_without_gradient_skipped(self):
+        ps = self.store(np.random.default_rng(44), [(5,), (7,)])
+        ps.add("frozen", np.ones(4, dtype=np.float32))
+        grads = [p.grad.copy() for name, p in ps.items() if name != "frozen"]
+        assert clip_grad_norm(ps, 1e-3) == pytest.approx(
+            clip_reference_norm(grads), rel=1e-12)
+        assert ps["frozen"].grad is None
+
+    def test_no_gradients_norm_zero(self):
+        ps = ParamStore()
+        ps.add("p", np.ones(3, dtype=np.float32))
+        assert clip_grad_norm(ps, 1.0) == 0.0
 
 
 class TestParamStore:

@@ -13,7 +13,7 @@ import pytest
 from sbt_lab import autodiff as ad
 from sbt_lab.autodiff import ParamStore, Tensor
 from sbt_lab.errors import ConfigError
-from sbt_lab.optim import AdamW
+from sbt_lab.optim import AdamW, clip_grad_norm
 
 
 @pytest.fixture
@@ -207,5 +207,21 @@ class TestSplitOps:
                             np.float32)
                     opt.step()
             result[width] = [p.data.tobytes() for _, p in store.items()]
+        assert any(p > 1 for p in fork_calls)
+        assert result[1] == result[2]
+
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e9])
+    def test_clip_grad_norm_bitwise_equal_at_every_width(self, max_norm,
+                                                        fork_calls):
+        result = {}
+        for width in (1, 2):
+            rng = np.random.default_rng(5)
+            store = ParamStore()
+            for i, shape in enumerate([(512, 384), (300,), (70000,)]):
+                p = store.add(f"p{i}", np.zeros(shape, dtype=np.float32))
+                p.grad = rng.normal(size=shape).astype(np.float32)
+            with ad.thread_width(width):
+                norm = clip_grad_norm(store, max_norm)
+            result[width] = (norm, [p.grad.tobytes() for _, p in store.items()])
         assert any(p > 1 for p in fork_calls)
         assert result[1] == result[2]
