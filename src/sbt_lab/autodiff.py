@@ -983,87 +983,67 @@ def _conv_out_side(size: int, k: int, stride: int, padding: int) -> int:
 
 
 def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
-           padding: int = 0, groups: int = 1) -> Tensor:
-    """Cross-correlation conv on a (C,H,W) map: dense (groups=1) or
-    depthwise (groups=C_in=C_out)."""
-    cin, h, win = t.data.shape
-    cout, cin_g, k, k2 = w.data.shape
+           padding: int = 0) -> Tensor:
+    """Dense cross-correlation conv on a channels-last (H, W, C_in) map;
+    returns (H_out, W_out, C_out).
+
+    w is (C_out, C_in, k, k). The windows form an im2col matrix whose
+    columns run in w's (C_in, k, k) order, so the conv is one product
+    with w's (C_in*k*k, C_out) view, split over output positions.
+    """
+    h, win, cin = t.data.shape
+    cout, cin_w, k, k2 = w.data.shape
     if k != k2:
         raise DimensionError("conv2d expects square kernels")
-    depthwise = groups == cin == cout and cin_g == 1
-    if not (depthwise or (groups == 1 and cin_g == cin)):
+    if cin_w != cin:
         raise DimensionError(
-            f"conv2d supports dense or depthwise only: C_in={cin} "
-            f"C_out={cout} groups={groups} weight={w.data.shape}"
-        )
+            f"conv2d weight {w.data.shape} does not match {cin} input channels")
+    if b is not None and b.data.shape != (cout,):
+        raise DimensionError(f"conv2d bias shape {b.data.shape} != ({cout},)")
     ho = _conv_out_side(h, k, stride, padding)
     wo = _conv_out_side(win, k, stride, padding)
 
     if padding:
-        pad = np.pad(t.data, ((0, 0), (padding, padding), (padding, padding)))
+        pad = np.pad(t.data, ((padding, padding), (padding, padding), (0, 0)))
     else:
         pad = t.data
-    windows = np.lib.stride_tricks.sliding_window_view(pad, (k, k), axis=(1, 2))
-    patches = windows[:, ::stride, ::stride]  # (C, ho, wo, k, k)
-
-    if depthwise:
-        data = np.einsum("chwij,cij->chw", patches, w.data[:, 0], optimize=True)
-        col = None
-    else:
-        # a view where the windows tile the map (a 1x1 conv), else a copy;
-        # the product splits over output rows
-        col = patches.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cin * k * k)
-        w2t = w.data.reshape(cout, -1).T
-        data = np.empty((cout, ho, wo), dtype=t.data.dtype)
-
-        def rows(y0, y1):
-            data[:, y0:y1] = (col[y0 * wo:y1 * wo] @ w2t).T.reshape(
-                cout, y1 - y0, wo)
-
-        fork(rows, ho, _gemm_parts(ho, cout, wo * col.shape[1], col, w.data))
-    if b is not None:
-        if b.data.shape != (cout,):
-            raise DimensionError(f"conv2d bias shape {b.data.shape} != ({cout},)")
-        data += b.data[:, None, None]
+    windows = np.lib.stride_tricks.sliding_window_view(pad, (k, k), axis=(0, 1))
+    # (ho, wo, C_in, k, k): a view where the windows tile a C-ordered map
+    # (a 1x1 conv), else a copy
+    col = windows[::stride, ::stride].reshape(ho * wo, cin * k * k)
+    data = _matmul_rows(col, w.data.reshape(cout, -1).T,
+                        None if b is None else b.data).reshape(ho, wo, cout)
 
     parents = (t, w) if b is None else (t, w, b)
     if not _tracked(*parents):
         return Tensor(data)
 
-    # depthwise reads the patches, dense the col matrix (a copy unless the
-    # windows tile the map); both read the weight
-    def bwd(g, rt=_sink(t), rw=_sink(w), rb=None if b is None else _sink(b),
-            dtype=t.data.dtype, wd=w.data, patches=patches if depthwise else None,
+    # an input that is no parameter and no op's output (the patch embed's
+    # image) gets no gradient
+    def bwd(g, rt=_sink(t) if _tracked(t) else None, rw=_sink(w),
+            rb=None if b is None else _sink(b), dtype=t.data.dtype, wd=w.data,
             col=col):
+        gm = g.reshape(ho * wo, cout)
         if rb is not None:
-            rb.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
-        ph, pw = h + 2 * padding, win + 2 * padding
-        dpad = np.zeros((cin, ph, pw), dtype=dtype)
-        if depthwise:
-            rw.accumulate_grad(
-                np.einsum("chw,chwij->cij", g, patches, optimize=True)[:, None],
-                owned=True,
-            )
-        else:
-            gm = g.reshape(cout, -1)
-            rw.accumulate_grad(_matmul_cols(gm, col).reshape(wd.shape),
-                               owned=True)
-            dcol = _matmul_rows(gm.T, wd.reshape(cout, -1))
-            dpatch = dcol.reshape(ho, wo, cin, k, k).transpose(2, 0, 1, 3, 4)
+            rb.accumulate_grad(gm.sum(axis=0), owned=True)
+        rw.accumulate_grad(_matmul_cols(gm.T, col).reshape(wd.shape),
+                           owned=True)
+        if rt is None:
+            return
+        dpatch = _matmul_rows(gm, wd.reshape(cout, -1)).reshape(
+            ho, wo, cin, k, k)
+        dpad = np.zeros((h + 2 * padding, win + 2 * padding, cin), dtype=dtype)
 
         def scatter(c0, c1):  # input channels c0..c1, every tap in order
             for i in range(k):
                 for j in range(k):
-                    if depthwise:
-                        d = g[c0:c1] * wd[c0:c1, 0, i, j][:, None, None]
-                    else:
-                        d = dpatch[c0:c1, :, :, i, j]
-                    dpad[c0:c1, i:i + stride * (ho - 1) + 1:stride,
-                         j:j + stride * (wo - 1) + 1:stride] += d
+                    dpad[i:i + stride * (ho - 1) + 1:stride,
+                         j:j + stride * (wo - 1) + 1:stride,
+                         c0:c1] += dpatch[:, :, c0:c1, i, j]
 
         fork(scatter, cin, fork_parts(cin, cin * ho * wo * k * k, dpad, g))
         if padding:
-            dpad = dpad[:, padding:-padding, padding:-padding]
+            dpad = dpad[padding:-padding, padding:-padding]
         rt.accumulate_grad(dpad, owned=True)
 
     return _recorded(data, parents, bwd)

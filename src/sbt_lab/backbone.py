@@ -24,7 +24,7 @@ from .errors import ConfigError, ContractError, DimensionError, FormatError
 from .head import ConvHead, MixMlpHead
 from .layers import (
     FrmLayer, LayerNormParams, LocalLayer, PatchEmbed, PatchMerge,
-    RelBiasTable, TokenMap, UrmLayer, concat_maps, map_from_image,
+    RelBiasTable, TokenMap, UrmLayer, concat_maps,
 )
 
 TOTAL_STRIDE = 16
@@ -286,9 +286,12 @@ class _InterConv:
         self.b = store.add(f"{prefix}.b", np.zeros(c_out, dtype=np.float32))
 
     def __call__(self, tm: TokenMap) -> TokenMap:
-        img = tm.to_image()
-        out = ad.conv2d(img, self.w, self.b, stride=2, padding=1)
-        return map_from_image(out, tm.segments[0])
+        h, w = tm.grid
+        out = ad.conv2d(ad.reshape(tm.tokens, (h, w, tm.channels)), self.w,
+                        self.b, stride=2, padding=1)
+        ho, wo, c = out.data.shape
+        return TokenMap(ad.reshape(out, (ho * wo, c)), [(ho, wo)],
+                        list(tm.segments))
 
     def flops(self, h: int, w: int) -> int:
         return 2 * (h // 2) * (w // 2) * self.c_out * self.c_in * 16
@@ -330,10 +333,8 @@ class Model:
                                            st.heads, mlp_ratio=st.mlp_ratio,
                                            cond_pe=cond))
                 else:
-                    mode = "SRG" if st.operator == "srg" else "VG"
                     blocks.append(FrmLayer(self.store, prefix, rng, st.channels,
                                            st.heads, mlp_ratio=st.mlp_ratio,
-                                           attn_mode=mode,
                                            sr_ratio=st.sr_ratio,
                                            cond_pe=cond))
             self.stage_blocks.append(blocks)
@@ -408,9 +409,8 @@ class Model:
                                 "use it under no_grad")
         biases = cache.get(layout)
         if biases is None:
-            biases = cache[layout] = [
-                Tensor(np.ascontiguousarray(t.bias(layout, layout).data))
-                for t in self.bias_tables]
+            biases = cache[layout] = [t.bias(layout, layout)
+                                      for t in self.bias_tables]
         return biases
 
     def forward_joint(self, z: TokenMap, x: TokenMap,

@@ -199,7 +199,7 @@ def _selftest_grad_checks(seed, out):
     def f_frm(p):
         zt = TokenMap(Tensor(z.astype(p.dtype)), [(2, 2)], ["template"])
         xt = TokenMap(Tensor(x.astype(p.dtype)), [(3, 3)], ["search"])
-        _, xo = frm.attention_update(zt, xt, "CA")
+        _, xo = frm.attention_update(zt, xt)
         return ad.sum_(xo * xo)
 
     checks.append(("frm-ca", f_frm, ps))
@@ -295,7 +295,7 @@ def cmd_selftest(args, out):
         ps.cast_(np.float64)
         zt = TokenMap(Tensor(rng.normal(size=(4, 8))), [(2, 2)], ["template"])
         xt = TokenMap(Tensor(rng.normal(size=(9, 8))), [(3, 3)], ["search"])
-        _, xo = frm.attention_update(zt, xt, "CA")
+        _, xo = frm.attention_update(zt, xt)
         oracle = ca_dynamic_conv_oracle(zt, xt, frm)
         worst_ca = max(worst_ca, float(np.abs(xo.data - oracle).max()))
     status = "pass" if worst_ca <= 1e-6 else "FAIL"

@@ -1,8 +1,10 @@
 """Prediction heads over the fused search map and anchor-free box decoding.
 
 Both heads emit three sigmoid-bounded maps on the search token grid:
-a score map, a center-offset map, and a size map. ``decode_box`` reads
-the box at the score argmax.
+a score map, a center-offset map, and a size map. Each head works on the
+channels-last search tokens and ends in per-token (h*w, out) maps, which
+``_head_output`` lays out as a ``HeadOutput``. ``decode_box`` reads the
+box at the score argmax.
 """
 
 from __future__ import annotations
@@ -37,19 +39,20 @@ class HeadOutput:
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 8,
                eps: float = 1e-5) -> Tensor:
-    """Per-group normalization of a (C, H, W) map with per-channel affine."""
-    c, h, w = x.data.shape
+    """Per-group normalization of an (H, W, C) map with per-channel affine.
+
+    A group's statistics run over every position and its C/groups
+    consecutive channels.
+    """
+    h, w, c = x.data.shape
     if c % groups:
         raise ConfigError(f"channels {c} not divisible by groups {groups}")
-    t = ad.reshape(x, (groups, (c // groups) * h * w))
-    mu = ad.mean(t, axis=1, keepdims=True)
+    t = ad.reshape(x, (h * w, groups, c // groups))
+    mu = ad.mean(t, axis=(0, 2), keepdims=True)
     xc = t - mu
-    var = ad.mean(xc * xc, axis=1, keepdims=True)
+    var = ad.mean(xc * xc, axis=(0, 2), keepdims=True)
     xhat = xc * ad.pow_const(ad.add(var, eps), -0.5)
-    xhat = ad.reshape(xhat, (c, h, w))
-    g3 = ad.reshape(gamma, (c, 1, 1))
-    b3 = ad.reshape(beta, (c, 1, 1))
-    return ad.add(xhat * g3, b3)
+    return ad.add(ad.reshape(xhat, (h, w, c)) * gamma, beta)
 
 
 def _squeeze(p: Tensor, eps: float = 1e-6) -> Tensor:
@@ -62,6 +65,17 @@ def _squeeze(p: Tensor, eps: float = 1e-6) -> Tensor:
 def _offset_scale(h: int, w: int) -> np.ndarray:
     # bound the center residual to one cell: sigmoid / grid side, per axis
     return np.array([1.0 / w, 1.0 / h], dtype=np.float32).reshape(2, 1, 1)
+
+
+def _head_output(maps: dict, h: int, w: int) -> HeadOutput:
+    """The HeadOutput of each branch's sigmoid (h*w, out) map."""
+    def grid(m: Tensor) -> Tensor:  # (h*w, 2) -> (2, h, w)
+        return ad.reshape(ad.transpose(m, (1, 0)), (2, h, w))
+
+    score = _squeeze(ad.reshape(maps["score"], (h, w)))
+    offset = ad.mul(grid(maps["offset"]), _offset_scale(h, w))
+    size = _squeeze(grid(maps["size"]))
+    return HeadOutput(score, offset, size)
 
 
 class ConvHead:
@@ -97,23 +111,23 @@ class ConvHead:
                                np.full(out_ch, b0, dtype=np.float32))
             self._layers[branch] = (convs, proj_w, proj_b)
 
-    def _branch(self, img: Tensor, branch: str) -> Tensor:
+    def _branch(self, x: Tensor, branch: str) -> Tensor:
+        """(h, w, C) map -> the branch's sigmoid (h*w, out) map."""
         convs, proj_w, proj_b = self._layers[branch]
-        x = img
-        for w, b, gamma, beta in convs:
-            x = ad.conv2d(x, w, b, stride=1, padding=1)
+        h, w, _ = x.data.shape
+        for cw, cb, gamma, beta in convs:
+            x = ad.conv2d(x, cw, cb, stride=1, padding=1)
             x = ad.relu(group_norm(x, gamma, beta, groups=self.NORM_GROUPS))
-        return ad.sigmoid(ad.conv2d(x, proj_w, proj_b, stride=1, padding=0))
+        out = ad.conv2d(x, proj_w, proj_b)
+        return ad.sigmoid(ad.reshape(out, (h * w, proj_w.data.shape[0])))
 
     def __call__(self, f_x: TokenMap) -> HeadOutput:
         if not f_x.is_single():
             raise ContractError("conv head needs a single-segment search map")
         h, w = f_x.grid
-        img = f_x.to_image()
-        score = _squeeze(ad.reshape(self._branch(img, "score"), (h, w)))
-        offset = ad.mul(self._branch(img, "offset"), _offset_scale(h, w))
-        size = _squeeze(self._branch(img, "size"))
-        return HeadOutput(score, offset, size)
+        x = ad.reshape(f_x.tokens, (h, w, f_x.channels))
+        return _head_output({branch: self._branch(x, branch)
+                             for branch, _ in self.BRANCHES}, h, w)
 
     def flops(self, length: int) -> int:
         total = 0
@@ -179,15 +193,9 @@ class MixMlpHead:
                 f"search token count {x.length} != head size {self.tokens}"
             )
         t = self.trunk(x.tokens)
-        out = {}
-        for branch, _ in self.BRANCHES:
-            pw, pb = self._proj[branch]
-            m = ad.sigmoid(ad.linear(t, pw, pb))  # (L, out)
-            out[branch] = ad.transpose(m, (1, 0))
-        score = _squeeze(ad.reshape(out["score"], (h, w)))
-        offset = ad.mul(ad.reshape(out["offset"], (2, h, w)), _offset_scale(h, w))
-        size = _squeeze(ad.reshape(out["size"], (2, h, w)))
-        return HeadOutput(score, offset, size)
+        maps = {branch: ad.sigmoid(ad.linear(t, *self._proj[branch]))
+                for branch, _ in self.BRANCHES}
+        return _head_output(maps, h, w)
 
     def flops(self, length: int) -> int:
         c, l = self.channels, self.tokens

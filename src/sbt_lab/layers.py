@@ -1,8 +1,12 @@
 """Building layers for single-branch transformer tracking.
 
-Token maps carry per-segment grid metadata so the same layer code serves
-single-image maps (shallow stages) and concatenated template/search maps
-(main stage). All layers are pure functions of (inputs, parameters).
+Every activation is a token map: row-major (L, C) tokens, channels last,
+with per-segment grid metadata so the same layer code serves single-image
+maps (shallow stages) and concatenated template/search maps (main stage).
+A segment's tokens reshape to its (h, w, C) grid without a copy, which is
+the layout ``autodiff.conv2d`` reads and writes. Only the input image is
+channels-first, (3, H, W); ``PatchEmbed`` reads it through one transposed
+view. All layers are pure functions of (inputs, parameters).
 """
 
 from __future__ import annotations
@@ -79,19 +83,8 @@ class TokenMap:
                 return TokenMap(ad.index(self.tokens, (sl, slice(None))), [g], [t])
         raise ContractError(f"no segment tagged {tag}")
 
-    def to_image(self) -> Tensor:
-        h, w = self.grid
-        return ad.reshape(ad.transpose(self.tokens, (1, 0)), (self.channels, h, w))
-
     def with_tokens(self, tokens: Tensor) -> "TokenMap":
         return TokenMap(tokens, list(self.grids), list(self.segments))
-
-
-def map_from_image(feat: Tensor, tag: str) -> TokenMap:
-    """(C,h,w) feature map -> row-major (h*w, C) token map."""
-    c, h, w = feat.data.shape
-    tokens = ad.transpose(ad.reshape(feat, (c, h * w)), (1, 0))
-    return TokenMap(tokens, [(h, w)], [tag])
 
 
 def concat_maps(maps: Sequence[TokenMap]) -> TokenMap:
@@ -126,14 +119,16 @@ class PatchEmbed:
         self.b = store.add(f"{prefix}.b", np.zeros(channels, dtype=np.float32))
 
     def __call__(self, image: Tensor, tag: str) -> TokenMap:
+        """image: (3, H, W), convolved through its (H, W, 3) view."""
         _, h, w = image.data.shape
         if self.kernel == self.stride and (h % self.stride or w % self.stride):
             raise DimensionError(
                 f"image {h}x{w} not divisible by patch stride {self.stride}"
             )
-        feat = ad.conv2d(image, self.w, self.b, stride=self.stride,
-                         padding=self.padding)
-        return map_from_image(feat, tag)
+        feat = ad.conv2d(ad.transpose(image, (1, 2, 0)), self.w, self.b,
+                         stride=self.stride, padding=self.padding)
+        ho, wo, c = feat.data.shape
+        return TokenMap(ad.reshape(feat, (ho * wo, c)), [(ho, wo)], [tag])
 
     def flops(self, h: int, w: int) -> int:
         ho = (h + 2 * self.padding - self.kernel) // self.stride + 1
@@ -214,7 +209,10 @@ class RelBiasTable:
         idx, scatter_cache = self._indices(q_layout, k_layout)
         lq, lk = idx.shape
         rows = ad.take_rows(self.table, idx.reshape(-1), scatter_cache)
-        return ad.transpose(ad.reshape(rows, (lq, lk, self.heads)), (2, 0, 1))
+        # flattening the transposed rows copies them, so the bias is
+        # C-ordered like the scores it is added to
+        flat = ad.reshape(ad.transpose(rows, (1, 0)), (-1,))
+        return ad.reshape(flat, (self.heads, lq, lk))
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +222,20 @@ class RelBiasTable:
 class Attention:
     """Multi-head scaled dot-product attention over token maps.
 
-    mode "VG": all kv tokens; "SRG": kv grid reduced by a depthwise conv
-    with kernel=stride=r.
+    sr_ratio 1 attends to every kv token (VG); sr_ratio r > 1 first pools
+    each kv segment's grid with a depthwise r x r conv of stride r (SRG).
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
-                 heads: int, mode: str = "VG", sr_ratio: int = 1):
+                 heads: int, sr_ratio: int = 1):
         if channels % heads:
             raise ConfigError(f"channels {channels} not divisible by heads {heads}")
-        if mode not in ("VG", "SRG"):
-            raise ConfigError(f"unknown attention mode {mode}")
-        if mode == "SRG" and sr_ratio < 1:
-            raise ConfigError("SRG needs sr_ratio >= 1")
+        if sr_ratio < 1:
+            raise ConfigError("sr_ratio must be >= 1")
         self.channels, self.heads = channels, heads
         self.head_dim = channels // heads
         self.scale = 1.0 / math.sqrt(self.head_dim)
-        self.mode = mode
-        self.sr_ratio = sr_ratio if mode == "SRG" else 1
+        self.sr_ratio = sr_ratio
         add = store.add
         self.wq = add(f"{prefix}.wq", glorot_normal(
             rng, (channels, channels), channels, channels))
@@ -261,16 +256,19 @@ class Attention:
             self.sr_b = add(f"{prefix}.sr_b", np.zeros(channels, dtype=np.float32))
 
     def _reduce_kv(self, kv: TokenMap) -> TokenMap:
-        r = self.sr_ratio
+        """Each segment's r x r windows, weighted per channel and summed."""
+        r, c = self.sr_ratio, self.channels
+        taps = ad.transpose(ad.reshape(self.sr_w, (c, r * r)), (1, 0))
         parts = []
         for seg in (kv.split() if not kv.is_single() else [kv]):
             h, w = seg.grid
             if h % r or w % r:
                 raise DimensionError(f"kv grid {h}x{w} not divisible by r={r}")
-            img = seg.to_image()
-            red = ad.conv2d(img, self.sr_w, self.sr_b, stride=r, padding=0,
-                            groups=self.channels)
-            parts.append(map_from_image(red, seg.segments[0]))
+            t = ad.reshape(seg.tokens, (h // r, r, w // r, r, c))
+            t = ad.reshape(ad.transpose(t, (0, 2, 1, 3, 4)),
+                           (h * w // (r * r), r * r, c))
+            red = ad.add(ad.sum_(ad.mul(t, taps), axis=1), self.sr_b)
+            parts.append(TokenMap(red, [(h // r, w // r)], seg.segments))
         return parts[0] if len(parts) == 1 else concat_maps(parts)
 
     def _heads(self, t: Tensor, length: int) -> Tensor:
@@ -369,11 +367,11 @@ class FrmLayer:
     images) + residual, then pre-LN MLP + residual."""
 
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
-                 heads: int, mlp_ratio: float = 4.0, attn_mode: str = "VG",
-                 sr_ratio: int = 1, cond_pe: bool = False):
+                 heads: int, mlp_ratio: float = 4.0, sr_ratio: int = 1,
+                 cond_pe: bool = False):
         self.ln1 = LayerNormParams(store, f"{prefix}.ln1", channels)
         self.attn = Attention(store, f"{prefix}.attn", rng, channels, heads,
-                              mode=attn_mode, sr_ratio=sr_ratio)
+                              sr_ratio=sr_ratio)
         self.ln2 = LayerNormParams(store, f"{prefix}.ln2", channels)
         self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
                        int(channels * mlp_ratio), cond_pe=cond_pe)
@@ -387,10 +385,8 @@ class FrmLayer:
         normed = tm.with_tokens(self.ln1(tm.tokens))
         return self._mlp_update(tm, ad.add(tm.tokens, self.attn(normed, normed)))
 
-    def attention_update(self, z: TokenMap, x: TokenMap, mode: str):
+    def attention_update(self, z: TokenMap, x: TokenMap):
         """Residual cross-attention step only; returns updated token tensors."""
-        if mode != "CA":
-            raise ConfigError(f"unknown FRM mode {mode}")
         if z.channels != x.channels:
             raise DimensionError("template/search channel mismatch")
         zn = z.with_tokens(self.ln1(z.tokens))
@@ -401,7 +397,9 @@ class FrmLayer:
     def __call__(self, z: TokenMap, x: TokenMap, mode: str):
         if mode == "SA":
             return self.self_block(z), self.self_block(x)
-        zt, xt = self.attention_update(z, x, mode)
+        if mode != "CA":
+            raise ConfigError(f"unknown FRM mode {mode}")
+        zt, xt = self.attention_update(z, x)
         return self._mlp_update(z, zt), self._mlp_update(x, xt)
 
     def flops(self, lz: int, lx: int, mode: str) -> int:
@@ -419,8 +417,7 @@ class UrmLayer:
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
                  heads: int, mlp_ratio: float = 4.0, cond_pe: bool = False):
         self.ln1 = LayerNormParams(store, f"{prefix}.ln1", channels)
-        self.attn = Attention(store, f"{prefix}.attn", rng, channels, heads,
-                              mode="VG")
+        self.attn = Attention(store, f"{prefix}.attn", rng, channels, heads)
         self.ln2 = LayerNormParams(store, f"{prefix}.ln2", channels)
         self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
                        int(channels * mlp_ratio), cond_pe=cond_pe)

@@ -128,7 +128,8 @@ def crop_region(frame: np.ndarray, center: tuple, side: float,
     mean = frame.reshape(3, -1).mean(axis=1)
     outside = ~(in_y[:, None] & in_x[None, :])
     patch[:, outside] = mean[:, None]
-    return patch.astype(np.float32), aff
+    # the column gathers leave patch in another memory order
+    return patch.astype(np.float32, order="C"), aff
 
 
 def crop_template(frame: np.ndarray, box, out_size: int) -> np.ndarray:

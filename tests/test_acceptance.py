@@ -74,12 +74,12 @@ def _component_checks(seed):
                     [(4, 4)], ["search"])).tokens ** 2), ps, 1e-5)
 
     ps = ParamStore()
-    attn_vg = Attention(ps, "vg", rng, 8, 2, mode="VG")
+    attn_vg = Attention(ps, "vg", rng, 8, 2)
     yield ("attention-vg", lambda p: ad.sum_(
         attn_vg(zx(p)[1], zx(p)[1]) ** 2), ps, 1e-5)
 
     ps = ParamStore()
-    attn_srg = Attention(ps, "srg", rng, 8, 2, mode="SRG", sr_ratio=3)
+    attn_srg = Attention(ps, "srg", rng, 8, 2, sr_ratio=3)
     yield ("attention-srg", lambda p: ad.sum_(
         attn_srg(zx(p)[1], zx(p)[1]) ** 2), ps, 1e-5)
 
@@ -192,7 +192,7 @@ def test_criterion_2_dynamic_conv_equivalence():
         data = np.random.default_rng(seed + 100)
         z = make_map(data, 4, 8, (2, 2), tag="template")
         x = make_map(data, 9, 8, (3, 3))
-        _, x_attn = frm.attention_update(z, x, "CA")
+        _, x_attn = frm.attention_update(z, x)
         oracle = ca_dynamic_conv_oracle(z, x, frm)
         worst = max(worst, float(np.abs(x_attn.data - oracle).max()))
     ok = worst <= 1e-6
@@ -243,7 +243,7 @@ def test_criterion_4_permutation_equivariance():
         perm_rng = np.random.default_rng(seed + 400)
 
         ps = ParamStore()
-        attn = Attention(ps, "a", rng, 8, 2, mode="VG")
+        attn = Attention(ps, "a", rng, 8, 2)
         ps.cast_(F64)
         x = make_map(data, 12, 8, (3, 4))
         perm = perm_rng.permutation(12)

@@ -399,8 +399,7 @@ def _save_defective_checkpoint(path, model, drop=None, flatten=None):
     bb.save_checkpoint(SimpleNamespace(store=store), path)
 
 
-# Outputs of the build that drew a seeded model before each checkpoint
-# load and encoded the initial dynamic template twice. The checkpoint is
+# `eval` reports and `track` boxes. The checkpoint is
 # build_variant(variant, seed=42) and the data the `dataset` fixture;
 # track runs on seq_1 from its first gt box.
 REFERENCE_OUTPUTS = {
@@ -409,24 +408,24 @@ REFERENCE_OUTPUTS = {
         "seq name=seq_2 ao=0.201231 auc=0.222222 precision=1.000000\n"
         "aggregate sequences=2 ao=0.192636 auc=0.206349 precision=0.833333\n",
         "0,74.037512,57.211677,14.817624,15.952100\n"
-        "1,71.037646,53.994205,24.628289,26.178111\n"
-        "2,57.347328,48.001892,38.652672,44.359935\n"
-        "3,29.914592,20.925995,66.085408,75.074005\n"),
+        "1,71.037647,53.994207,24.628289,26.178106\n"
+        "2,57.347319,48.001894,38.652681,44.359930\n"
+        "3,29.914600,20.926006,66.085400,75.073994\n"),
     ("supersbt-light", False): (
         "seq name=seq_1 ao=0.168579 auc=0.174603 precision=0.666667\n"
         "seq name=seq_2 ao=0.172005 auc=0.190476 precision=1.000000\n"
         "aggregate sequences=2 ao=0.170292 auc=0.182540 precision=0.833333\n",
         "0,74.037512,57.211677,14.817624,15.952100\n"
-        "1,69.982610,53.864869,26.017390,26.363252\n"
-        "2,52.188339,47.663332,43.811661,45.141871\n"
-        "3,21.530518,19.710266,74.469482,76.289734\n"),
+        "1,69.982607,53.864869,26.017393,26.363252\n"
+        "2,52.188341,47.663333,43.811659,45.141868\n"
+        "3,21.530522,19.710270,74.469478,76.289730\n"),
     ("supersbt-light", True): (
         "seq name=seq_1 ao=0.168484 auc=0.174603 precision=0.666667\n"
         "seq name=seq_2 ao=0.171848 auc=0.190476 precision=1.000000\n"
         "aggregate sequences=2 ao=0.170166 auc=0.182540 precision=0.833333\n",
         "0,74.037512,57.211677,14.817624,15.952100\n"
         "1,70.001821,53.862307,25.998179,26.368517\n"
-        "2,52.084137,47.648866,43.915863,45.164098\n"
+        "2,52.084137,47.648865,43.915863,45.164098\n"
         "3,21.504646,19.500679,74.495354,76.499321\n"),
 }
 
@@ -437,18 +436,20 @@ REFERENCE_OUTPUTS = {
 # stage's SR attention needs the token grid that masking drops.
 TRAINING_REFERENCES = {
     ("train", "supersbt-light"): (
-        "step 0 total=7.701765 cls=5.484861 giou=0.766128 l1=0.136930\n"
-        "step 1 total=6.582846 cls=4.607322 giou=0.687780 l1=0.119993\n"
+        "step 0 total=7.701766 cls=5.484861 giou=0.766128 l1=0.136930\n"
+        "step 1 total=6.582902 cls=4.607407 giou=0.687773 l1=0.119990\n"
         "saved out\n",
-        "b003456f3c10ac4f4f35446dcaf2eacfb9c5ff0b07e9cb0afbf5a03c7fb9a891"),
+        "dc7b39aec0c5200c3dbf257b2f52a1567c27f1ab3d022aa3fbac160a7e82ae9a"),
     ("train", "hi-sbt"): (
-        "step 0 total=6.809784 cls=4.573934 giou=0.778845 l1=0.135632\n"
-        "step 1 total=5.968446 cls=4.179054 giou=0.638249 l1=0.102579\n"
+        "step 0 total=6.809785 cls=4.573935 giou=0.778845 l1=0.135632\n"
+        "step 1 total=5.968447 cls=4.179055 giou=0.638249 l1=0.102579\n"
         "saved out\n",
-        "88ecc483e701d6c82ac9333d2702ac4d297668b416da6e61a96469c4ec7f0d3f"),
+        "2d03375e22e0adaddbaa75475389d84f98993a9813a968abb2db8231a0afa38b"),
     ("pretrain-mim", "supersbt-light"): (
-        "step 0 recon=1.093101\nstep 1 recon=1.060168\nsaved out\n",
-        "fbb12a9f78ef9e8b2428590beb6b093cd97f613d23585a28c9c021a5fd6e953e"),
+        "step 0 recon=1.093101\n"
+        "step 1 recon=1.060168\n"
+        "saved out\n",
+        "91f87414e6a9cd0167914590d6dfc39cc2f2997a09aab3c21b966d9ffb407d26"),
 }
 
 

@@ -6,8 +6,7 @@ from sbt_lab.autodiff import ParamStore, Tensor, tensor
 from sbt_lab.errors import ConfigError, ContractError, DimensionError
 from sbt_lab.layers import (
     Attention, FrmLayer, LocalLayer, PatchEmbed, PatchMerge, RelBiasTable,
-    TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps,
-    map_from_image, segment_mask,
+    TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps, segment_mask,
 )
 
 F64 = np.float64
@@ -138,21 +137,16 @@ class TestAttention:
         with pytest.raises(ConfigError):
             Attention(ParamStore(), "a", np.random.default_rng(0), 512, 7)
 
-    def test_srg_r1_equals_vg(self):
-        out = {}
-        for mode in ("VG", "SRG"):
-            ps, rng = ParamStore(), np.random.default_rng(7)
-            a = Attention(ps, "attn", rng, 8, heads=2, mode=mode, sr_ratio=1)
-            cast64(ps)
-            rng2 = np.random.default_rng(8)
-            q = make_map(rng2, 4, 8, grid=(2, 2))
-            kv = make_map(rng2, 4, 8, tag="template", grid=(2, 2))
-            out[mode] = a(q, kv).data
-        np.testing.assert_array_equal(out["VG"], out["SRG"])
+    def test_sr_ratio_one_keeps_every_kv_token(self):
+        ps, rng = ParamStore(), np.random.default_rng(7)
+        Attention(ps, "attn", rng, 8, heads=2, sr_ratio=1)
+        assert not any(".sr_" in name for name in ps.names())
+        with pytest.raises(ConfigError):
+            Attention(ParamStore(), "a", rng, 8, heads=2, sr_ratio=0)
 
     def test_srg_reduces_kv(self):
         ps, rng = ParamStore(), np.random.default_rng(9)
-        a = Attention(ps, "attn", rng, 8, heads=2, mode="SRG", sr_ratio=2)
+        a = Attention(ps, "attn", rng, 8, heads=2, sr_ratio=2)
         cast64(ps)
         kv = make_map(rng, 16, 8, tag="template", grid=(4, 4))
         q = make_map(rng, 4, 8, grid=(2, 2))
@@ -160,6 +154,57 @@ class TestAttention:
         bad = make_map(rng, 9, 8, tag="template", grid=(3, 3))
         with pytest.raises(DimensionError):
             a(q, bad)
+
+    SR_LAYOUT = (("template", (4, 4)), ("dyn_template", (4, 4)),
+                 ("search", (8, 8)))
+
+    def sr_kv(self, rng, c, dtype=F64):
+        maps = [make_map(rng, h * w, c, tag=tag, grid=(h, w), dtype=dtype)
+                for tag, (h, w) in self.SR_LAYOUT]
+        return concat_maps(maps)
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_sr_reduction_matches_window_loop(self, r):
+        ps, rng = ParamStore(), np.random.default_rng(12)
+        c = 6
+        a = Attention(ps, "attn", rng, c, heads=2, sr_ratio=r)
+        cast64(ps)
+        a.sr_b.data[:] = rng.normal(size=c)
+        kv = self.sr_kv(rng, c)
+        red = a._reduce_kv(kv)
+        assert red.segments == [tag for tag, _ in self.SR_LAYOUT]
+        assert red.grids == [(h // r, w // r) for _, (h, w) in self.SR_LAYOUT]
+        w_sr, b_sr = a.sr_w.data[:, 0], a.sr_b.data
+        expect = []
+        for seg in kv.split():
+            h, w = seg.grid
+            grid = seg.tokens.data.reshape(h, w, c)
+            for y in range(h // r):
+                for x in range(w // r):
+                    acc = b_sr.copy()
+                    for i in range(r):
+                        for j in range(r):
+                            acc += w_sr[:, i, j] * grid[y * r + i, x * r + j]
+                    expect.append(acc)
+        np.testing.assert_allclose(red.tokens.data, np.array(expect),
+                                   atol=1e-12)
+
+    def test_sr_reduction_grad_check(self):
+        rng = np.random.default_rng(13)
+        c, r = 4, 2
+        ps = ParamStore()
+        a = Attention(ps, "attn", rng, c, heads=2, sr_ratio=r)
+        a.sr_b.data[:] = rng.normal(size=c)
+        kv = self.sr_kv(rng, c)
+        ps.add("kv", kv.tokens.data)
+        weight = rng.normal(size=(sum(h * w for _, (h, w) in self.SR_LAYOUT)
+                                  // (r * r), c))
+
+        def f(p):
+            red = a._reduce_kv(kv.with_tokens(p["kv"]))
+            return ad.sum_(ad.sigmoid(red.tokens) * weight)
+
+        assert ad.grad_check(f, ps) < 1e-6
 
     def test_permutation_equivariance(self):
         ps, rng = ParamStore(), np.random.default_rng(10)
@@ -209,7 +254,7 @@ class TestFrm:
         rng = np.random.default_rng(1000 + seed)
         z = make_map(rng, 4, 8, tag="template", grid=(2, 2))
         x = make_map(rng, 8, 8, grid=(2, 4))
-        _, x_attn = frm.attention_update(z, x, "CA")
+        _, x_attn = frm.attention_update(z, x)
         oracle = ca_dynamic_conv_oracle(z, x, frm)
         np.testing.assert_allclose(x_attn.data, oracle, atol=1e-6)
 
@@ -219,7 +264,7 @@ class TestFrm:
         rng = np.random.default_rng(31)
         z = make_map(rng, 1, 8, tag="template", grid=(1, 1))
         x = make_map(rng, 4, 8, grid=(2, 2))
-        _, x_attn = frm.attention_update(z, x, "CA")
+        _, x_attn = frm.attention_update(z, x)
         zn = frm.ln1(z.tokens).data
         v = zn @ frm.attn.wv.data + frm.attn.bv.data
         closed = x.tokens.data + np.tile(v, (4, 1)) @ frm.attn.wo.data + frm.attn.bo.data
@@ -231,7 +276,7 @@ class TestFrm:
         rng = np.random.default_rng(33)
         z = make_map(rng, 4, 8, tag="template", grid=(2, 2))
         x = make_map(rng, 8, 8, grid=(2, 4))
-        _, x_attn = frm.attention_update(z, x, "CA")
+        _, x_attn = frm.attention_update(z, x)
         a = frm.attn
         zn, xn = frm.ln1(z.tokens).data, frm.ln1(x.tokens).data
         q = xn @ a.wq.data + a.bq.data

@@ -291,6 +291,30 @@ class TestTakeRows:
         assert grad_check(f, ps) < 1e-6
 
 
+def naive_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
+    """Brute-force grouped cross-correlation of a (C, H, W) array."""
+    cin, h, w_ = x.shape
+    cout, cpg_in, k, _ = w.shape
+    cpg_out = cout // groups
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w_ + 2 * padding - k) // stride + 1
+    out = np.zeros((cout, ho, wo))
+    for co in range(cout):
+        gi = co // cpg_out
+        for yy in range(ho):
+            for xx in range(wo):
+                acc = 0.0 if b is None else b[co]
+                for ci in range(cpg_in):
+                    for i in range(k):
+                        for j in range(k):
+                            acc += (w[co, ci, i, j] *
+                                    xp[gi * cpg_in + ci, yy * stride + i,
+                                       xx * stride + j])
+                out[co, yy, xx] = acc
+    return out
+
+
 def edge_pad_reference(img):
     """(C,H,W) -> (C,H+2,W+2), border cells copying the nearest cell."""
     _, h, w = img.shape
@@ -314,11 +338,10 @@ class TestDepthwiseConv3x3:
         out = depthwise_conv3x3(t64(tokens), grid, t64(w), t64(b), pad=pad)
         img = tokens.T.reshape(c, h, w_)
         if pad == "edge":
-            ref = conv2d(t64(edge_pad_reference(img)), t64(w), t64(b),
-                         groups=c)
+            ref = naive_conv2d(edge_pad_reference(img), w, b, groups=c)
         else:
-            ref = conv2d(t64(img), t64(w), t64(b), padding=1, groups=c)
-        np.testing.assert_allclose(out.data, ref.data.reshape(c, -1).T,
+            ref = naive_conv2d(img, w, b, padding=1, groups=c)
+        np.testing.assert_allclose(out.data, ref.reshape(c, -1).T,
                                    atol=1e-12)
 
     def test_float32_close_to_float64(self):
@@ -384,72 +407,76 @@ class TestDepthwiseConv3x3:
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(3)
-        x = tensor(rng.normal(size=(1, 5, 5)))
+        x = tensor(rng.normal(size=(5, 5, 1)))
         w = tensor(np.ones((1, 1, 1, 1)))
         out = conv2d(x, w, None, stride=1, padding=0)
         np.testing.assert_allclose(out.data, x.data)
 
     def test_patch_grid_shape(self):
-        x = tensor(np.zeros((3, 256, 256)))
+        x = tensor(np.zeros((256, 256, 3)))
         w = tensor(np.zeros((8, 3, 16, 16)))
         out = conv2d(x, w, None, stride=16, padding=0)
-        assert out.shape == (8, 16, 16)
+        assert out.shape == (16, 16, 8)
 
     def test_hand_sum(self):
-        x = tensor(np.ones((1, 4, 4)))
+        x = tensor(np.ones((4, 4, 1)))
         w = tensor(np.ones((1, 1, 2, 2)))
         out = conv2d(x, w, None, stride=2, padding=0)
-        np.testing.assert_allclose(out.data, np.full((1, 2, 2), 4.0))
+        np.testing.assert_allclose(out.data, np.full((2, 2, 1), 4.0))
 
-    def test_bad_groups(self):
+    def test_bad_shapes_rejected(self):
+        # weight for 2 input channels on a 3-channel map
         with pytest.raises(DimensionError):
-            conv2d(tensor(np.ones((3, 4, 4))), tensor(np.ones((4, 2, 3, 3))),
-                   None, groups=2)
-        # well-formed grouping, but neither dense nor depthwise
+            conv2d(tensor(np.ones((4, 4, 3))), tensor(np.ones((4, 2, 3, 3))),
+                   None)
         with pytest.raises(DimensionError):
-            conv2d(tensor(np.ones((4, 4, 4))), tensor(np.ones((4, 2, 3, 3))),
-                   None, groups=2)
+            conv2d(tensor(np.ones((4, 4, 2))), tensor(np.ones((4, 2, 3, 2))),
+                   None)
+        with pytest.raises(DimensionError):
+            conv2d(tensor(np.ones((4, 4, 2))), tensor(np.ones((4, 2, 3, 3))),
+                   tensor(np.ones(3)))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_depthwise_equals_per_channel(self, seed):
-        rng = np.random.default_rng(seed)
-        c, h, w_ = 4, 6, 6
-        x = rng.normal(size=(c, h, w_))
-        w = rng.normal(size=(c, 1, 3, 3))
-        b = rng.normal(size=c)
-        out = conv2d(tensor(x), tensor(w), tensor(b), stride=1, padding=1,
-                     groups=c)
-        for ci in range(c):
-            single = conv2d(tensor(x[ci:ci + 1]), tensor(w[ci:ci + 1]),
-                            tensor(b[ci:ci + 1]), stride=1, padding=1)
-            np.testing.assert_allclose(out.data[ci], single.data[0], atol=1e-5)
-
-    @pytest.mark.parametrize("cin,cout,groups", [(4, 6, 1), (4, 4, 4)],
-                             ids=["dense", "depthwise"])
-    def test_grouped_matches_naive_loop(self, cin, cout, groups):
-        # brute-force cross-correlation oracle
+    @pytest.mark.parametrize("k,s,p", [(3, 2, 1), (4, 2, 1), (7, 4, 3),
+                                       (1, 1, 0)])
+    def test_matches_naive_loop(self, k, s, p):
         rng = np.random.default_rng(11)
-        k, s, p = 3, 2, 1
-        h = w_ = 7
-        x = rng.normal(size=(cin, h, w_))
-        w = rng.normal(size=(cout, cin // groups, k, k))
-        out = conv2d(t64(x), t64(w), None, stride=s, padding=p, groups=groups)
-        xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-        ho = (h + 2 * p - k) // s + 1
-        expected = np.zeros((cout, ho, ho))
-        cpg_in, cpg_out = cin // groups, cout // groups
-        for co in range(cout):
-            gi = co // cpg_out
-            for yy in range(ho):
-                for xx in range(ho):
-                    acc = 0.0
-                    for ci in range(cpg_in):
-                        for i in range(k):
-                            for j in range(k):
-                                acc += (w[co, ci, i, j] *
-                                        xp[gi * cpg_in + ci, yy * s + i, xx * s + j])
-                    expected[co, yy, xx] = acc
-        np.testing.assert_allclose(out.data, expected, atol=1e-10)
+        cin, cout, h, w_ = 4, 6, 9, 7
+        x = rng.normal(size=(h, w_, cin))
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        out = conv2d(t64(x), t64(w), t64(b), stride=s, padding=p)
+        expected = naive_conv2d(x.transpose(2, 0, 1), w, b, s, p)
+        np.testing.assert_allclose(out.data, expected.transpose(1, 2, 0),
+                                   atol=1e-10)
+
+    def test_channels_first_view_input(self):
+        # the patch embed convolves a (3, H, W) image's transposed view
+        rng = np.random.default_rng(12)
+        img = rng.normal(size=(3, 8, 8))
+        w = rng.normal(size=(5, 3, 4, 4))
+        for p in (0, 1):
+            out = conv2d(t64(img.transpose(1, 2, 0)), t64(w), None, stride=4,
+                         padding=p)
+            expected = naive_conv2d(img, w, stride=4, padding=p)
+            np.testing.assert_allclose(out.data, expected.transpose(1, 2, 0),
+                                       atol=1e-10)
+
+    @pytest.mark.parametrize("k,s,p", [(3, 2, 1), (4, 2, 1), (1, 1, 0)])
+    def test_grad_check(self, k, s, p):
+        rng = np.random.default_rng(13)
+        ps = ParamStore()
+        ps.add("x", rng.normal(size=(6, 5, 3)))
+        ps.add("w", rng.normal(size=(4, 3, k, k)))
+        ps.add("b", rng.normal(size=4))
+        with ad.no_grad():
+            out_shape = conv2d(ps["x"], ps["w"], None, s, p).data.shape
+        weight = rng.normal(size=out_shape)
+
+        def f(q):
+            out = conv2d(q["x"], q["w"], q["b"], stride=s, padding=p)
+            return ad.sum_(ad.sigmoid(out) * weight)
+
+        assert grad_check(f, ps) < 1e-6
 
 
 class TestBackward:
@@ -543,10 +570,7 @@ GRAPH_RECORDS = [
     ("linear", lambda x, w, b: linear(x, w, b), [(4, 6), (6, 3), (3,)],
      (0, 1), False),
     ("conv2d", lambda t, w, b: conv2d(t, w, b, stride=2, padding=1),
-     [(2, 6, 6), (3, 2, 3, 3), (3,)], (1,), False),
-    ("conv2d-depthwise",
-     lambda t, w: conv2d(t, w, None, stride=1, padding=1, groups=2),
-     [(2, 6, 6), (2, 1, 3, 3)], (1,), False),
+     [(6, 6, 2), (3, 2, 3, 3), (3,)], (1,), False),
     ("depthwise_conv3x3",
      lambda t, w, b: depthwise_conv3x3(t, (3, 4), w, b, pad="edge"),
      [(12, 2), (2, 1, 3, 3), (2,)], (), False),
@@ -685,12 +709,13 @@ class TestGradCheck:
         ps.add("w", rng.normal(size=(4, 3, 3, 3)) * 0.5)
         ps.add("b", rng.normal(size=4) * 0.1)
         ps.add("dw", rng.normal(size=(4, 1, 3, 3)) * 0.5)
-        x = rng.normal(size=(3, 5, 5))
+        x = rng.normal(size=(5, 5, 3))
 
         def f(p):
             h = conv2d(Tensor(x.astype(p.dtype)), p["w"], p["b"], stride=2,
                        padding=1)
-            h = conv2d(h, p["dw"], None, stride=1, padding=1, groups=4)
+            h = depthwise_conv3x3(ad.reshape(h, (9, 4)), (3, 3), p["dw"],
+                                  None, pad="zero")
             return ad.sum_(ad.sigmoid(h))
 
         assert grad_check(f, ps) < 1e-5

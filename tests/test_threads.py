@@ -12,7 +12,9 @@ import pytest
 
 from sbt_lab import autodiff as ad
 from sbt_lab.autodiff import ParamStore, Tensor
+from sbt_lab.backbone import StageConfig, VariantConfig, build_variant
 from sbt_lab.errors import ConfigError
+from sbt_lab.loss import total_loss
 from sbt_lab.optim import AdamW, clip_grad_norm
 
 
@@ -147,9 +149,9 @@ SPLIT_OPS = [
     ("matmul", lambda a, b: ad.matmul(a, b),
      [(8, 320, 64), (8, 64, 320)]),
     ("conv2d", lambda t, w, b: ad.conv2d(t, w, b, stride=2, padding=1),
-     [(32, 64, 64), (64, 32, 4, 4), (64,)]),
+     [(64, 64, 32), (64, 32, 4, 4), (64,)]),
     ("conv2d-1x1", lambda t, w, b: ad.conv2d(t, w, b),
-     [(64, 48, 48), (96, 64, 1, 1), (96,)]),
+     [(48, 48, 64), (96, 64, 1, 1), (96,)]),
     ("gelu", lambda x: ad.gelu(x), [(1024, 384)]),
     ("layer_norm", lambda x, g, b: ad.layer_norm(x, g, b),
      [(1024, 256), (256,), (256,)]),
@@ -225,3 +227,53 @@ class TestSplitOps:
             result[width] = (norm, [p.grad.tobytes() for _, p in store.items()])
         assert any(p > 1 for p in fork_calls)
         assert result[1] == result[2]
+
+
+# tiny models of the two backbone families, small enough that their maps
+# reach a lowered _MIN_PART
+_TINY_STAGES = dict(
+    supersbt=[StageConfig("mlp-local", 8, 1, mlp_ratio=3.0),
+              StageConfig("mlp-local", 8, 1, mlp_ratio=3.0),
+              StageConfig("vg", 16, 2, heads=2)],
+    hisbt=[StageConfig("srg", 8, 1, heads=1, sr_ratio=4),
+           StageConfig("srg", 8, 1, heads=2, sr_ratio=2),
+           StageConfig("srg", 16, 2, heads=2, sr_ratio=2)],
+)
+_TINY_MODELS = dict(
+    supersbt=dict(embed_kernel=4, embed_stride=4, inter_stage="merge",
+                  pe="rel", pattern="urm", head="mixmlp"),
+    hisbt=dict(embed_kernel=7, embed_stride=4, embed_padding=3,
+               inter_stage="conv", pe="cond", pattern="interleave",
+               head="conv"),
+)
+
+
+class TestMemoryOrder:
+    @pytest.mark.parametrize("family", list(_TINY_MODELS))
+    def test_no_split_refused_for_memory_order(self, family, monkeypatch):
+        """Every activation and gradient of a forward and backward is
+        C-ordered, so no op stays on one core for its layout."""
+        # 2 * 64 values: the tiny backbone maps reach it, the head's
+        # (2, 4, 4) maps stay below it as their full-size ones do
+        monkeypatch.setattr(ad, "_MIN_PART", 64)
+        refused = []
+        real = ad._row_parts
+
+        def counting(x, *others):
+            if x.ndim >= 2 and x.size >= 2 * ad._MIN_PART and not all(
+                    a.flags.c_contiguous for a in (x,) + others):
+                refused.append(x.shape)
+            return real(x, *others)
+
+        monkeypatch.setattr(ad, "_row_parts", counting)
+        cfg = VariantConfig(family, _TINY_STAGES[family], template_size=32,
+                            search_size=64, **_TINY_MODELS[family])
+        model = build_variant(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        z, dyn = (Tensor(rng.random((3, 32, 32), dtype=np.float32))
+                  for _ in range(2))
+        x = Tensor(rng.random((3, 64, 64), dtype=np.float32))
+        with ad.thread_width(2):
+            loss, _ = total_loss(model.predict(z, x, dyn), (0.5, 0.5, 0.3, 0.3))
+            ad.backward(loss)
+        assert refused == []

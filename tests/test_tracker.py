@@ -56,6 +56,11 @@ class TestCropRegion:
         assert aff.scale == 1.0
         assert aff.left_x == 16.0 and aff.side == 32.0
 
+    def test_patch_is_c_ordered(self):
+        # the model's first op on it then splits over the fork-join
+        patch, _ = trk.crop_region(textured_frame(0, 64), (30.0, 34.0), 48, 32)
+        assert patch.dtype == np.float32 and patch.flags.c_contiguous
+
     def test_affine_round_trip(self):
         frame = textured_frame(1, 100)
         _, aff = trk.crop_region(frame, (37.3, 61.9), 45.7, 32)
