@@ -529,13 +529,11 @@ def count_flops(m: Model):
 class MimPretrainer:
     """Pixel-reconstruction pretraining head over a variant encoder.
 
-    Shallow stages run densely (their depthwise convs cannot skip
-    tokens); masked tokens are dropped at the final-stage entry. A small
-    joint-attention decoder with a learned mask token reconstructs the
-    per-patch-normalized pixels of the masked patches.
-
-    Final stages with spatial-reduction attention are refused: the
-    visible tokens no longer form a grid their kv reduction can pool.
+    The mask is applied at the input (SimMIM): masked 16x16 patches are
+    painted 0.5, which the encoder's centring maps to 0, so no token sees
+    a masked pixel. The tracker's own encoder then runs dense, its final
+    stage as self-attention with its relative bias, so every variant can
+    pretrain. A small decoder reconstructs the masked patches' pixels.
     """
 
     DECODER_CHANNELS = 256
@@ -543,16 +541,10 @@ class MimPretrainer:
     DECODER_HEADS = 8
 
     def __init__(self, model: Model, seed: int = 0):
-        final = model.cfg.stages[-1]
-        if final.sr_ratio > 1:
-            raise ConfigError(
-                f"masked pretraining drops tokens, so no kv grid is left to "
-                f"reduce; {model.cfg.name} uses SR attention "
-                f"(sr_ratio {final.sr_ratio}) in its final stage")
         self.model = model
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
-        c_enc = final.channels
+        c_enc = model.cfg.stages[-1].channels
         channels = self.DECODER_CHANNELS
         self.grid = model.cfg.search_size // TOTAL_STRIDE
         self.patch_dim = 3 * TOTAL_STRIDE * TOTAL_STRIDE
@@ -560,7 +552,6 @@ class MimPretrainer:
         self.proj_w = add("proj.w", glorot_normal(
             rng, (c_enc, channels), c_enc, channels))
         self.proj_b = add("proj.b", np.zeros(channels, dtype=np.float32))
-        self.mask_token = add("mask_token", trunc_normal(rng, (1, channels)))
         self.blocks = [
             UrmLayer(self.store, f"dec{i}", rng, channels, self.DECODER_HEADS)
             for i in range(self.DECODER_BLOCKS)
@@ -572,17 +563,23 @@ class MimPretrainer:
         self.out_b = add("out.b", np.zeros(self.patch_dim, dtype=np.float32))
         self.pe = sincos_2d(channels, self.grid, self.grid)
 
+    @staticmethod
+    def masked_count(config: VariantConfig, mask_ratio: float) -> int:
+        """How many of a search crop's patches mask_ratio masks."""
+        length = (config.search_size // TOTAL_STRIDE) ** 2
+        # NaN fails both comparisons
+        if not 0.0 < mask_ratio < 1.0:
+            raise ConfigError(f"mask ratio {mask_ratio} not in (0, 1)")
+        n_mask = int(round(length * mask_ratio))
+        if not 0 < n_mask < length:
+            raise ConfigError(f"mask ratio {mask_ratio} masks {n_mask} of "
+                              f"{length} patches: none visible or none masked")
+        return n_mask
+
     def split_indices(self, mask_ratio: float, rng: np.random.Generator):
         length = self.grid * self.grid
-        if not 0.0 < mask_ratio < 1.0:
-            raise ConfigError(f"mask ratio {mask_ratio} outside (0, 1)")
-        n_mask = int(round(length * mask_ratio))
-        if n_mask < 1 or length - n_mask < 1:
-            raise ConfigError(
-                f"mask ratio {mask_ratio} leaves no masked or no visible tokens"
-            )
-        perm = rng.permutation(length)
-        return np.sort(perm[length - n_mask:]), np.sort(perm[:length - n_mask])
+        n_mask = self.masked_count(self.model.cfg, mask_ratio)
+        return np.sort(rng.permutation(length)[length - n_mask:])
 
     def patch_targets(self, image: np.ndarray) -> np.ndarray:
         """Per-patch-normalized pixels, (tokens, patch_dim)."""
@@ -593,27 +590,27 @@ class MimPretrainer:
         sd = np.sqrt(p.var(axis=1, keepdims=True) + 1e-6)
         return ((p - mu) / sd).astype(image.dtype)
 
+    def encode(self, image: Tensor, masked: np.ndarray) -> Tensor:
+        """The encoder's final-norm tokens, (tokens, channels), for image
+        with the patches at token indices `masked` painted gray."""
+        model, s, g = self.model, TOTAL_STRIDE, self.grid
+        pixels = image.data.copy()
+        pixels.reshape(3, g, s, g, s)[:, masked // g, :, masked % g, :] = 0.5
+        tm = model.encode_early(Tensor(pixels), "search")
+        biases = model._joint_biases(tm.layout(), None)
+        for blk, bias in zip(model.stage_blocks[-1], biases):
+            # one image: every block acts as self-attention
+            tm = (blk(tm, bias=bias) if isinstance(blk, UrmLayer)
+                  else blk.self_block(tm))
+        return model.final_ln(tm.tokens)
+
     def loss(self, image: Tensor, mask_ratio: float,
              rng: np.random.Generator) -> Tensor:
         model = self.model
         model._check_size(image, model.cfg.search_size, "pretraining")
-        masked, visible = self.split_indices(mask_ratio, rng)
-        tm = model.encode_early(image, "search")
-        if tm.length != self.grid * self.grid:
-            raise DimensionError("encoder token count mismatch")
-        vis = TokenMap(ad.take_rows(tm.tokens, visible),
-                       [(1, len(visible))], ["search"])
-        for blk in model.stage_blocks[-1]:
-            # masked training is single-image; every block acts as SA
-            vis = blk(vis) if isinstance(blk, UrmLayer) else blk.self_block(vis)
-        enc = ad.linear(model.final_ln(vis.tokens), self.proj_w, self.proj_b)
-        fill = ad.take_rows(self.mask_token,
-                            np.zeros(len(masked), dtype=np.intp))
-        row_of = np.empty(self.grid * self.grid, dtype=np.intp)
-        row_of[visible] = np.arange(len(visible))
-        row_of[masked] = len(visible) + np.arange(len(masked))
-        full = ad.take_rows(ad.concat([enc, fill], axis=0), row_of)
-        dtm = TokenMap(ad.add(full, self.pe.astype(full.data.dtype)),
+        masked = self.split_indices(mask_ratio, rng)
+        enc = ad.linear(self.encode(image, masked), self.proj_w, self.proj_b)
+        dtm = TokenMap(ad.add(enc, self.pe.astype(enc.data.dtype)),
                        [(self.grid, self.grid)], ["search"])
         for blk in self.blocks:
             dtm = blk(dtm)

@@ -78,11 +78,11 @@ def _resolve_variant(args):
     return bb.named_config(args.variant)
 
 
-def _build_model(args):
+def _build_model(args, config=None):
     ckpt = getattr(args, "checkpoint", None)
     # a checkpoint replaces every parameter, so none is drawn; the load
     # checks the full set and each shape before it replaces any value
-    model = bb.build_variant(_resolve_variant(args),
+    model = bb.build_variant(config or _resolve_variant(args),
                              seed=args.seed if ckpt is None else None)
     if ckpt is not None:
         bb.load_checkpoint(ckpt, model)
@@ -375,12 +375,14 @@ def cmd_train(args, out):
 
 
 def cmd_pretrain_mim(args, out):
-    # NaN fails both comparisons
-    if not 0.0 < args.mask_ratio < 1.0:
-        raise ConfigError(f"--mask-ratio must be a finite number in (0, 1), "
-                          f"got {args.mask_ratio}")
     _check_training_flags(args)
-    model = _build_model(args)
+    config = _resolve_variant(args)
+    # checked on the variant's crop size before any build or data read
+    try:
+        bb.MimPretrainer.masked_count(config, args.mask_ratio)
+    except ConfigError as e:
+        raise ConfigError(f"--mask-ratio: {e}") from None
+    model = _build_model(args, config)
     pre = bb.MimPretrainer(model, seed=args.seed)
     seqs = hn.load_dataset(args.data)
     hn.pretrain_loop(pre, seqs, steps=args.steps, lr=args.lr,

@@ -49,6 +49,14 @@ def tiny_interleave_config():
     )
 
 
+def tiny_sr_embed_config():
+    # the SR/cond-PE interleave layout behind hi-sbt's overlapping
+    # kernel-7 stride-4 padding-3 embed
+    cfg = tiny_interleave_config()
+    cfg.name, cfg.embed_kernel, cfg.embed_padding = "tiny-sr-embed", 7, 3
+    return cfg
+
+
 def images(seed, template=32, search=64):
     rng = np.random.default_rng(seed)
     return (tensor(rng.normal(size=(3, template, template))),
@@ -614,9 +622,10 @@ class TestMim:
 
     def test_mask_split_64_192(self):
         pre = bb.MimPretrainer(self.wide_grid_model())
-        masked, visible = pre.split_indices(0.75, np.random.default_rng(0))
-        assert len(visible) == 64 and len(masked) == 192
-        assert not set(masked) & set(visible)
+        masked = pre.split_indices(0.75, np.random.default_rng(0))
+        # 192 distinct sorted token indices, so 64 of the 256 stay visible
+        assert len(masked) == 192 and (np.diff(masked) > 0).all()
+        assert 0 <= masked[0] and masked[-1] < 256
 
     def test_degenerate_ratios_rejected(self):
         pre = bb.MimPretrainer(self.wide_grid_model())
@@ -632,7 +641,7 @@ class TestMim:
         model = bb.build_variant(tiny_urm_config())
         pre = bb.MimPretrainer(model)
         img = tensor(np.random.default_rng(9).normal(size=(3, 64, 64)))
-        masked, _ = pre.split_indices(0.75, np.random.default_rng(7))
+        masked = pre.split_indices(0.75, np.random.default_rng(7))
         with ad.no_grad():
             loss = pre.loss(img, 0.75, np.random.default_rng(7)).item()
         oracle = float((pre.patch_targets(img.data)[masked] ** 2).mean())
@@ -651,10 +660,59 @@ class TestMim:
         assert any(p.grad is not None and np.abs(p.grad).max() > 0
                    for _, p in pre.store.items())
 
-    def test_sr_final_stage_rejected(self):
-        # kv reduction pools a grid; the visible tokens form none
-        with pytest.raises(ConfigError, match="drops tokens"):
-            bb.MimPretrainer(bb.build_variant(tiny_interleave_config()))
+    @staticmethod
+    def repaint(img, tokens, rng, grid=4):
+        """img with fresh noise in the 16x16 patches at token indices."""
+        out = img.copy()
+        for t in tokens:
+            r, c = divmod(int(t), grid)
+            out[:, 16 * r:16 * r + 16, 16 * c:16 * c + 16] = rng.random(
+                (3, 16, 16))
+        return out
+
+    @pytest.mark.parametrize("make_cfg", [tiny_urm_config,
+                                          tiny_sr_embed_config],
+                             ids=["rel-bias", "sr-overlap-embed"])
+    def test_masked_pixels_never_reach_the_encoder(self, make_cfg):
+        pre = bb.MimPretrainer(bb.build_variant(make_cfg()))
+        rng = np.random.default_rng(4)
+        img = rng.random((3, 64, 64))
+        masked = pre.split_indices(0.75, np.random.default_rng(7))
+        visible = np.setdiff1d(np.arange(16), masked)
+
+        def encode(pixels):
+            with ad.no_grad():
+                return pre.encode(tensor(pixels), masked).data
+
+        base = encode(img)
+        assert np.array_equal(encode(self.repaint(img, masked, rng)), base)
+        # a visible patch does reach it, so the check is not vacuous
+        assert not np.array_equal(
+            encode(self.repaint(img, visible[:1], rng)), base)
+
+    @pytest.mark.parametrize("make_cfg", [tiny_urm_config,
+                                          tiny_sr_embed_config],
+                             ids=["rel-bias", "sr-overlap-embed"])
+    def test_loss_grad_check(self, make_cfg):
+        model = bb.build_variant(make_cfg(), seed=3)
+        pre = bb.MimPretrainer(model, seed=1)
+        # a fresh build's zero biases keep a gray patch's tokens at zero
+        # through every LayerNorm, whose curvature there is too sharp for
+        # finite differences; perturbed weights move off that point
+        rng = np.random.default_rng(2)
+        for store in (model.store, pre.store):
+            store.cast_(np.float64)
+            for _, p in store.items():
+                p.data += rng.normal(scale=0.05, size=p.data.shape)
+        img = tensor(np.random.default_rng(5).random((3, 64, 64)),
+                     dtype=np.float64)
+
+        def f(_):
+            return pre.loss(img, 0.75, np.random.default_rng(7))
+
+        for store in (model.store, pre.store):
+            assert ad.grad_check(f, store, max_coords_per_param=1,
+                                 rng=np.random.default_rng(0)) < 1e-6
 
     def test_patch_targets_normalized(self):
         pre = bb.MimPretrainer(self.wide_grid_model())

@@ -248,7 +248,7 @@ class TestTakeRows:
         assert not t.grad[40:].any()
 
     def test_single_row_table_all_zero_index(self):
-        # the MIM mask token: one row gathered once per masked token
+        # one row gathered into every output row: all of g lands on it
         rng = np.random.default_rng(15)
         t = Tensor(rng.normal(size=(1, 16)).astype(np.float32),
                    requires_grad=True)
