@@ -7,6 +7,11 @@ accumulates gradients into leaf tensors and consumes the graph as it
 goes: each node drops its closure and parent links once it has run.
 Re-run the forward pass to differentiate again.
 
+Gradient ownership: a backward hands each input a gradient array that
+nothing else reads or writes afterwards (a view of its own gradient goes
+to one input only). An input keeps the first gradient it receives, cast
+if its dtype differs, and adds later ones into it in place.
+
 A node is kept apart from the tensor it belongs to and holds no tensor
 data of its own. Its closure keeps exactly the arrays its backward reads,
 so an activation that no backward reads is freed with its tensor.
@@ -81,8 +86,8 @@ def max_threads() -> int:
             n = int(cap)
         except ValueError:
             raise ConfigError(f"SBT_LAB_THREADS must be an integer, got {cap!r}")
-        if n < 1:
-            raise ConfigError("SBT_LAB_THREADS must be >= 1")
+        if not 1 <= n <= 64:  # a fork starts a helper thread per extra part
+            raise ConfigError(f"SBT_LAB_THREADS must be in [1, 64], got {n}")
         return n
     return os.cpu_count() or 1
 
@@ -323,20 +328,15 @@ class _Node:
         self.parents = parents
         self.backward: Optional[Callable[[np.ndarray], None]] = backward
 
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
-        self.grad = _accumulated(self.grad, g, self.dtype, owned)
+    def accumulate_grad(self, g: np.ndarray):
+        self.grad = _accumulated(self.grad, g, self.dtype)
 
 
-def _accumulated(grad, g: np.ndarray, dtype, owned: bool) -> np.ndarray:
-    """grad + g, added in place into grad when there is one.
-
-    owned=True promises g is a freshly allocated array used nowhere else,
-    letting the first accumulation skip a full copy.
-    """
+def _accumulated(grad, g: np.ndarray, dtype) -> np.ndarray:
+    """grad + g, in place into grad when there is one; else g itself (see
+    gradient ownership above), cast if its dtype differs."""
     if grad is None:
-        if owned and g.dtype == dtype:
-            return g
-        return g.astype(dtype, copy=True)
+        return g if g.dtype == dtype else g.astype(dtype)
     grad += g
     return grad
 
@@ -390,12 +390,11 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
-        # owned=True: see _accumulated
+    def accumulate_grad(self, g: np.ndarray):
         if self._node is None:
-            self._grad = _accumulated(self._grad, g, self.data.dtype, owned)
+            self._grad = _accumulated(self._grad, g, self.data.dtype)
         else:
-            self._node.accumulate_grad(g, owned)
+            self._node.accumulate_grad(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -486,8 +485,10 @@ def add(a: Tensor, b) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), rb=_sink(b), sa=a.data.shape, sb=b.data.shape):
-        ra.accumulate_grad(_unbroadcast(g, sa))
-        rb.accumulate_grad(_unbroadcast(g, sb))
+        ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
+        ra.accumulate_grad(ga)
+        # two views of g share memory: the second input gets a copy
+        rb.accumulate_grad(np.copy(gb) if np.may_share_memory(ga, gb) else gb)
 
     return _recorded(data, (a, b), bwd)
 
@@ -499,8 +500,7 @@ def mul(a: Tensor, b) -> Tensor:
             return Tensor(data)
 
         def bwd(g, ra=_sink(a), shape=a.data.shape, b=b):
-            ra.accumulate_grad(_unbroadcast(_ewise(np.multiply, g, b), shape),
-                               owned=True)
+            ra.accumulate_grad(_unbroadcast(_ewise(np.multiply, g, b), shape))
 
         return _recorded(data, (a,), bwd)
     data = a.data * b.data
@@ -508,8 +508,8 @@ def mul(a: Tensor, b) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), rb=_sink(b), x=a.data, y=b.data):
-        ra.accumulate_grad(_unbroadcast(g * y, x.shape), owned=True)
-        rb.accumulate_grad(_unbroadcast(g * x, y.shape), owned=True)
+        ra.accumulate_grad(_unbroadcast(g * y, x.shape))
+        rb.accumulate_grad(_unbroadcast(g * x, y.shape))
 
     return _recorded(data, (a, b), bwd)
 
@@ -524,7 +524,7 @@ def pow_const(a: Tensor, p: float) -> Tensor:
             deriv = 2.0 * x
         else:
             deriv = p * x ** (p - 1.0)
-        ra.accumulate_grad(g * deriv, owned=True)
+        ra.accumulate_grad(g * deriv)
 
     return _recorded(data, (a,), bwd)
 
@@ -535,7 +535,7 @@ def log(a: Tensor) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data):
-        ra.accumulate_grad(g / x, owned=True)
+        ra.accumulate_grad(g / x)
 
     return _recorded(data, (a,), bwd)
 
@@ -546,7 +546,7 @@ def absolute(a: Tensor) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data):
-        ra.accumulate_grad(g * np.sign(x), owned=True)
+        ra.accumulate_grad(g * np.sign(x))
 
     return _recorded(data, (a,), bwd)
 
@@ -557,7 +557,7 @@ def relu(a: Tensor) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data):
-        ra.accumulate_grad(g * (x > 0), owned=True)
+        ra.accumulate_grad(g * (x > 0))
 
     return _recorded(data, (a,), bwd)
 
@@ -568,7 +568,7 @@ def sigmoid(a: Tensor) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), data=data):
-        ra.accumulate_grad(g * data * (1.0 - data), owned=True)
+        ra.accumulate_grad(g * data * (1.0 - data))
 
     return _recorded(data, (a,), bwd)
 
@@ -665,7 +665,7 @@ def gelu(a: Tensor) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), deriv=deriv):
-        ra.accumulate_grad(_ewise(np.multiply, g, deriv), owned=True)
+        ra.accumulate_grad(_ewise(np.multiply, g, deriv))
 
     return _recorded(data, (a,), bwd)
 
@@ -732,7 +732,7 @@ def index(a: Tensor, sl) -> Tensor:
         else:
             gi = np.zeros_like(like)
         gi[sl] = g
-        ra.accumulate_grad(gi, owned=True)
+        ra.accumulate_grad(gi)
 
     return _recorded(data, (a,), bwd)
 
@@ -769,7 +769,7 @@ def take_rows(a: Tensor, idx: np.ndarray,
             if cache is not None:
                 cache[dtype] = s
         gi = (s @ g.reshape(len(idx), -1)).reshape(shape)
-        ra.accumulate_grad(gi, owned=True)
+        ra.accumulate_grad(gi)
 
     return _recorded(data, (a,), bwd)
 
@@ -782,7 +782,8 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     def bwd(g, ra=_sink(a), shape=a.data.shape, axis=axis, keepdims=keepdims):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        ra.accumulate_grad(np.broadcast_to(g, shape))
+        # broadcast_to gives a read-only view: a gradient is written into
+        ra.accumulate_grad(np.copy(np.broadcast_to(g, shape)))
 
     return _recorded(data, (a,), bwd)
 
@@ -810,8 +811,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g, ra=_sink(a), rb=_sink(b), x=a.data, y=b.data):
         ga = _batched_matmul(g, np.swapaxes(y, -1, -2))
         gb = _batched_matmul(np.swapaxes(x, -1, -2), g)
-        ra.accumulate_grad(_unbroadcast(ga, x.shape), owned=True)
-        rb.accumulate_grad(_unbroadcast(gb, y.shape), owned=True)
+        ra.accumulate_grad(_unbroadcast(ga, x.shape))
+        rb.accumulate_grad(_unbroadcast(gb, y.shape))
 
     return _recorded(data, (a, b), bwd)
 
@@ -870,12 +871,12 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g, rx=_sink(x), rw=_sink(w), rb=None if b is None else _sink(b),
             xd=x.data, wd=w.data):
-        rx.accumulate_grad(_matmul_rows(g, wd.T), owned=True)
+        rx.accumulate_grad(_matmul_rows(g, wd.T))
         x2 = xd.reshape(-1, xd.shape[-1])
         gd = g.reshape(-1, g.shape[-1])
-        rw.accumulate_grad(_matmul_cols(x2.T, gd), owned=True)
+        rw.accumulate_grad(_matmul_cols(x2.T, gd))
         if rb is not None:
-            rb.accumulate_grad(gd.sum(axis=0), owned=True)
+            rb.accumulate_grad(gd.sum(axis=0))
 
     return _recorded(data, parents, bwd)
 
@@ -907,8 +908,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
             dot = (gs * ds).sum(axis=-1, keepdims=True)
             return np.multiply(ds, gs - dot, out=out)
 
-        ra.accumulate_grad(_rows(rows, len(g), _row_parts(g, data), g.shape),
-                           owned=True)
+        ra.accumulate_grad(_rows(rows, len(g), _row_parts(g, data), g.shape))
 
     return _recorded(data, (a,), bwd)
 
@@ -952,8 +952,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     def bwd(g, ra=_sink(a), rgamma=_sink(gamma), rbeta=_sink(beta), gd=gd,
             xhat=xhat, inv_std=inv_std):
         red = tuple(range(g.ndim - 1))
-        rgamma.accumulate_grad((g * xhat).sum(axis=red), owned=True)
-        rbeta.accumulate_grad(g.sum(axis=red), owned=True)
+        rgamma.accumulate_grad((g * xhat).sum(axis=red))
+        rbeta.accumulate_grad(g.sum(axis=red))
 
         def rows(lo, hi, out):
             xs = xhat[lo:hi]
@@ -962,8 +962,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             m2 = (dxhat * xs).mean(axis=-1, keepdims=True)
             return np.multiply(inv_std[lo:hi], dxhat - m1 - xs * m2, out=out)
 
-        ra.accumulate_grad(_rows(rows, len(g), _row_parts(g, xhat, gd), g.shape),
-                           owned=True)
+        ra.accumulate_grad(_rows(rows, len(g), _row_parts(g, xhat, gd), g.shape))
 
     return _recorded(data, (a, gamma, beta), bwd)
 
@@ -1025,9 +1024,8 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
             col=col):
         gm = g.reshape(ho * wo, cout)
         if rb is not None:
-            rb.accumulate_grad(gm.sum(axis=0), owned=True)
-        rw.accumulate_grad(_matmul_cols(gm.T, col).reshape(wd.shape),
-                           owned=True)
+            rb.accumulate_grad(gm.sum(axis=0))
+        rw.accumulate_grad(_matmul_cols(gm.T, col).reshape(wd.shape))
         if rt is None:
             return
         dpatch = _matmul_rows(gm, wd.reshape(cout, -1)).reshape(
@@ -1044,7 +1042,7 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
         fork(scatter, cin, fork_parts(cin, cin * ho * wo * k * k, dpad, g))
         if padding:
             dpad = dpad[padding:-padding, padding:-padding]
-        rt.accumulate_grad(dpad, owned=True)
+        rt.accumulate_grad(dpad)
 
     return _recorded(data, parents, bwd)
 
@@ -1122,7 +1120,7 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
     def bwd(g, rt=_sink(tokens), rw=_sink(w), rb=None if b is None else _sink(b),
             pmap=pmap, taps=taps):
         if rb is not None:
-            rb.accumulate_grad(g.sum(axis=0), owned=True)
+            rb.accumulate_grad(g.sum(axis=0))
         g2 = g.reshape(h, row)
         dw = np.empty((9, c), dtype=dtype)
         dmap = np.zeros((h + 2, wd + 2, c), dtype=dtype)
@@ -1135,7 +1133,7 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
                 wd, c).sum(axis=0)
             np.multiply(g2, taps[k], out=tmp)
             dflat[i:i + h, cols] += tmp
-        rw.accumulate_grad(dw.T.reshape(c, 1, 3, 3), owned=True)
+        rw.accumulate_grad(dw.T.reshape(c, 1, 3, 3))
         if pad == "edge":
             # each border cell copied an edge token: fold its gradient back,
             # columns first so the corners reach the corner tokens
@@ -1143,7 +1141,7 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
             dmap[:, -2] += dmap[:, -1]
             dmap[1] += dmap[0]
             dmap[-2] += dmap[-1]
-        rt.accumulate_grad(dmap[1:-1, 1:-1].reshape(length, c), owned=True)
+        rt.accumulate_grad(dmap[1:-1, 1:-1].reshape(length, c))
 
     return _recorded(data, parents, bwd)
 
@@ -1189,11 +1187,11 @@ def backward(loss: Tensor):
     root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         fn, node.backward, node.parents = node.backward, None, ()
-        if node.grad is not None:
-            fn(node.grad)
-            if node is not root:
-                node.grad = None  # free intermediate gradients
-        del fn  # the closure's arrays go now, not at the next node
+        g, node.grad = node.grad, None  # free intermediate gradients
+        if g is not None:
+            fn(g)
+        del fn, g  # the closure's arrays go now, not at the next node
+    root.grad = np.ones_like(loss.data)  # not the ones handed down
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,13 @@ def cmd_selftest(args, out):
 
 
 def cmd_gen_data(args, out):
+    if args.sequences < 1:
+        raise ConfigError(f"--sequences must be >= 1, got {args.sequences}")
+    if args.length < 2:
+        raise ConfigError(f"--length must be >= 2, got {args.length}")
+    if args.frame_size < hn.MIN_FRAME_SIZE:
+        raise ConfigError(f"--frame-size must be >= {hn.MIN_FRAME_SIZE}, "
+                          f"got {args.frame_size}")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         for k in range(args.sequences):

@@ -9,6 +9,7 @@ binary PPM frames plus a gt.csv.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -30,7 +31,14 @@ DIFFICULTIES = ("easy", "distractor", "scale-change")
 DEFAULT_FRAME_SIZE = 256
 DEFAULT_LENGTH = 60
 DEFAULT_TRAIN_SEQS = 64
-DEFAULT_EVAL_SEQS = 16
+
+# gen_sequence draws each box's start 2 px inside the frame. The largest
+# box it draws is a distractor, 1.2x the tallest target (0.22 of the frame
+# wide at aspect 1.25), and a smaller frame leaves no room for it
+_MARGIN = 2.0
+_MAX_WIDTH, _MAX_ASPECT, _MAX_DISTRACTOR = 0.22, 1.25, 1.2
+MIN_FRAME_SIZE = math.ceil(
+    2 * _MARGIN / (1.0 - _MAX_DISTRACTOR * _MAX_WIDTH * _MAX_ASPECT))
 
 BRIGHTNESS_JITTER = 0.10
 # translation must move the target several grid cells off center, or
@@ -117,15 +125,18 @@ def gen_sequence(seed: int, length: int = DEFAULT_LENGTH,
         raise ContractError(f"sequence length must be >= 2, got {length}")
     if difficulty not in DIFFICULTIES:
         raise ConfigError(f"unknown difficulty {difficulty!r}")
+    if frame_size < MIN_FRAME_SIZE:
+        raise ConfigError(f"frame size must be >= {MIN_FRAME_SIZE}, "
+                          f"got {frame_size}")
     rng = np.random.default_rng(seed)
     s = frame_size
     bg = _smooth_noise(rng, s, s)
-    base_w = rng.uniform(0.12, 0.22) * s
-    aspect = rng.uniform(0.8, 1.25)
+    base_w = rng.uniform(0.12, _MAX_WIDTH) * s
+    aspect = rng.uniform(0.8, _MAX_ASPECT)
     base_h = base_w * aspect
     tex_size = int(np.ceil(max(base_w, base_h) * 1.4)) + 2
     tex = _object_texture(rng, tex_size)
-    margin = 2.0
+    margin = _MARGIN
     cx = rng.uniform(base_w / 2 + margin, s - base_w / 2 - margin)
     cy = rng.uniform(base_h / 2 + margin, s - base_h / 2 - margin)
     vx, vy = rng.uniform(-3.0, 3.0, size=2)
@@ -134,8 +145,8 @@ def gen_sequence(seed: int, length: int = DEFAULT_LENGTH,
     distractors = []
     if difficulty == "distractor":
         for _ in range(rng.integers(2, 5)):
-            dw = base_w * rng.uniform(0.8, 1.2)
-            dh = base_h * rng.uniform(0.8, 1.2)
+            dw = base_w * rng.uniform(0.8, _MAX_DISTRACTOR)
+            dh = base_h * rng.uniform(0.8, _MAX_DISTRACTOR)
             dtex = _object_texture(rng, int(np.ceil(max(dw, dh))) + 2)
             dx = rng.uniform(dw / 2 + margin, s - dw / 2 - margin)
             dy = rng.uniform(dh / 2 + margin, s - dh / 2 - margin)

@@ -590,7 +590,9 @@ def _no_work(*a, **k):
 
 
 class TestThreadCount:
-    @pytest.mark.parametrize("value", ["lots", "0", ""])
+    # above the ceiling of 64, each fork would start a helper thread per
+    # extra part; _start_helpers is patched so that no case starts any
+    @pytest.mark.parametrize("value", ["lots", "0", "", "65", "20000"])
     @pytest.mark.parametrize("command", TestHelpAndErrors.SUBCOMMANDS)
     def test_bad_value_fails_before_work(self, command, value, tmp_path,
                                          monkeypatch, capsys):
@@ -598,7 +600,8 @@ class TestThreadCount:
                           (cli.bb, "load_variant_file"),
                           (cli.hn, "load_dataset"), (cli.hn, "gen_sequence"),
                           (cli, "_load_frames"),
-                          (cli, "_selftest_grad_checks")):
+                          (cli, "_selftest_grad_checks"),
+                          (cli.ad, "_start_helpers")):
             monkeypatch.setattr(mod, name, _no_work)
         monkeypatch.setenv("SBT_LAB_THREADS", value)
         out = tmp_path / "out"
@@ -650,6 +653,33 @@ class TestOutAndScheduleChecks:
         for out in (f / "x", f):
             code, text = run(["gen-data", "--out", str(out)])
             self.assert_one_line_error(code, text, capsys, str(out))
+
+    @pytest.mark.parametrize("flags", [
+        ["--frame-size", "0"],
+        ["--frame-size", "3"],
+        ["--frame-size=-5"],
+        ["--frame-size", str(hn.MIN_FRAME_SIZE - 1)],
+        ["--sequences", "0"],
+        ["--sequences=-2"],
+        ["--length", "1"],
+    ])
+    def test_bad_gen_data_flag_fails_before_work(self, flags, tmp_path,
+                                                 forbid_work, capsys):
+        out = tmp_path / "data"
+        code, text = run(["gen-data", "--out", str(out)] + flags)
+        self.assert_one_line_error(code, text, capsys,
+                                   flags[0].split("=")[0])
+        assert not out.exists()
+
+    def test_smallest_frame_size_generates(self, tmp_path):
+        out = tmp_path / "data"
+        code, _ = run(["gen-data", "--out", str(out), "--sequences", "1",
+                       "--length", "2", "--frame-size",
+                       str(hn.MIN_FRAME_SIZE)])
+        assert code == 0
+        seq = hn.load_dataset(str(out))[0]
+        assert seq.frames[0].shape == (3, hn.MIN_FRAME_SIZE,
+                                       hn.MIN_FRAME_SIZE)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device whose writes fail")

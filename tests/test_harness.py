@@ -76,6 +76,19 @@ class TestGenSequence:
             hn.gen_sequence(0, length=1)
         with pytest.raises(ConfigError):
             hn.gen_sequence(0, difficulty="impossible")
+        for size in (-5, 0, hn.MIN_FRAME_SIZE - 1):
+            with pytest.raises(ConfigError, match="frame size"):
+                hn.gen_sequence(0, length=2, frame_size=size)
+
+    @pytest.mark.parametrize("difficulty", hn.DIFFICULTIES)
+    def test_smallest_frame_size_generates(self, difficulty):
+        s = hn.MIN_FRAME_SIZE
+        for seed in range(25):
+            seq = hn.gen_sequence(seed, length=6, frame_size=s,
+                                  difficulty=difficulty)
+            assert seq.frames[0].shape == (3, s, s)
+            for (x, y, w, h) in seq.gt:
+                assert x >= 0 and y >= 0 and x + w <= s and y + h <= s
 
 
 class TestPpm:
@@ -582,6 +595,16 @@ class TestMaxThreads:
         monkeypatch.setenv("SBT_LAB_THREADS", "0")
         with pytest.raises(ConfigError):
             hn.max_threads()
+
+    @pytest.mark.parametrize("value,ok", [("64", True), ("65", False),
+                                          ("20000", False)])
+    def test_ceiling(self, value, ok, monkeypatch):
+        monkeypatch.setenv("SBT_LAB_THREADS", value)
+        if ok:
+            assert hn.max_threads() == int(value)
+        else:
+            with pytest.raises(ConfigError, match=r"\[1, 64\]"):
+                hn.max_threads()
 
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("SBT_LAB_THREADS", raising=False)

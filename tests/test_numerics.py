@@ -526,6 +526,52 @@ class TestBackward:
             backward(tensor([1.0]))
 
 
+class TestGradientOwnership:
+    """A backward hands each input a gradient nothing else reads or writes
+    afterwards, and an input keeps the first one it receives. In each
+    graph below an input's first gradient comes from the op under test,
+    and later accumulations add into it in place."""
+
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_same_shape_add_inputs_accumulate_again(self, order):
+        rng = np.random.default_rng(3)
+        ps = ParamStore()
+        ps.add("a", rng.normal(size=(3, 4)))
+        ps.add("b", rng.normal(size=(3, 4)))
+
+        def f(p):
+            a, b = p["a"], p["b"]
+            s = ad.add(a, b) if order == "ab" else ad.add(b, a)
+            # the first term's nodes run first: the add hands out a's and
+            # b's first gradients, then the second term adds into both
+            return ad.sum_(s * s) + ad.sum_(a * a * b)
+
+        assert grad_check(f, ps) < 1e-8
+
+    def test_broadcast_sum_and_concat_fan_out(self):
+        rng = np.random.default_rng(4)
+        ps = ParamStore()
+        ps.add("x", rng.normal(size=(3, 4)))
+        ps.add("w", rng.normal(size=(3, 4)))
+
+        def f(p):
+            t = p["x"] * p["w"]
+            m = ad.mean(t, axis=-1, keepdims=True)  # gives t its first grad
+            c = ad.concat([t, t], axis=0)
+            return (ad.sum_(m * m) + ad.sum_(c * c)
+                    + ad.sum_(ad.sum_(t, axis=0) * t))
+
+        assert grad_check(f, ps) < 1e-8
+
+    def test_loss_grad_stays_ones(self):
+        x = t64([1.0, 2.0], rg=True)
+        s = ad.sum_(x)
+        loss = ad.add(s, s)  # s's first gradient is the one handed down
+        backward(loss)
+        np.testing.assert_array_equal(loss.grad, [1.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
 def _recorded_input(arr):
     """arr as the output of a recorded op, so a backward reaches it through
     its node, not through a leaf Tensor."""

@@ -277,3 +277,26 @@ class TestMemoryOrder:
             loss, _ = total_loss(model.predict(z, x, dyn), (0.5, 0.5, 0.3, 0.3))
             ad.backward(loss)
         assert refused == []
+
+
+class TestGradientMemory:
+    @pytest.mark.parametrize("family", list(_TINY_MODELS))
+    def test_parameter_gradients_own_their_memory(self, family):
+        """After a float32 training backward every parameter gradient is a
+        writeable array of its own: the optimizer and clip_grad_norm
+        write into each one alone."""
+        cfg = VariantConfig(family, _TINY_STAGES[family], template_size=32,
+                            search_size=64, **_TINY_MODELS[family])
+        model = build_variant(cfg, seed=0)
+        rng = np.random.default_rng(2)
+        z, dyn = (Tensor(rng.random((3, 32, 32), dtype=np.float32))
+                  for _ in range(2))
+        x = Tensor(rng.random((3, 64, 64), dtype=np.float32))
+        loss, _ = total_loss(model.predict(z, x, dyn), (0.5, 0.5, 0.3, 0.3))
+        ad.backward(loss)
+        params = [p for _, p in model.store.items()]
+        grads = [p.grad for p in params]
+        assert all(g is not None and g.flags.writeable for g in grads)
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, p.data) for p in params)
+            assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
