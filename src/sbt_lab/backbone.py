@@ -35,6 +35,15 @@ PATTERNS = ("urm", "interleave")
 HEADS = ("conv", "mixmlp")
 INTER_STAGE = ("merge", "conv")
 
+# a variant file past these is refused before any array is allocated; the
+# named variants stay well inside (768 channels, 3072-wide MLPs, 20 blocks
+# a stage, 256 px inputs, 16 px embed kernels)
+MAX_CHANNELS = 4096
+MAX_MLP_WIDTH = 4 * MAX_CHANNELS
+MAX_BLOCKS = 64
+MAX_INPUT_SIZE = 1024
+MAX_EMBED_KERNEL = 64
+
 
 @dataclass
 class StageConfig:
@@ -80,20 +89,25 @@ class VariantConfig:
         if self.pe == "rel" and self.pattern != "urm":
             # only the joint-attention blocks read a relative-bias table
             raise ConfigError("rel PE needs the urm pattern")
-        if self.embed_kernel < 1 or self.embed_padding < 0:
-            raise ConfigError("embed kernel must be positive and padding "
-                              "non-negative")
+        if not (1 <= self.embed_kernel <= MAX_EMBED_KERNEL
+                and self.embed_padding >= 0):
+            raise ConfigError(f"embed kernel must be from 1 to "
+                              f"{MAX_EMBED_KERNEL} and padding non-negative")
         for i, st in enumerate(self.stages):
             last = i == len(self.stages) - 1
             if st.operator not in STAGE_OPERATORS:
                 raise ConfigError(f"unknown stage operator {st.operator}")
             if st.blocks < 1 or st.channels < 1 or st.heads < 1:
                 raise ConfigError("stage blocks/channels/heads must be positive")
+            if st.channels > MAX_CHANNELS or st.blocks > MAX_BLOCKS:
+                raise ConfigError(
+                    f"stage {i + 1}: channels {st.channels} must be <= "
+                    f"{MAX_CHANNELS} and blocks {st.blocks} <= {MAX_BLOCKS}")
             width = st.channels * st.mlp_ratio
-            if not (np.isfinite(width) and width >= 1):
+            if not (np.isfinite(width) and 1 <= width <= MAX_MLP_WIDTH):
                 raise ConfigError(
                     f"stage {i + 1}: mlp_ratio {st.mlp_ratio} must be finite "
-                    f"and give an MLP width of at least 1")
+                    f"and give an MLP width from 1 to {MAX_MLP_WIDTH}")
             if st.sr_ratio < 1 or (st.sr_ratio != 1 and st.operator != "srg"):
                 raise ConfigError(
                     f"stage {i + 1}: sr_ratio {st.sr_ratio} needs an srg stage "
@@ -108,10 +122,12 @@ class VariantConfig:
         if self.pattern == "urm" and self.stages[-1].operator != "vg":
             raise ConfigError("joint self-attention pattern needs a VG final stage")
         if (min(self.search_size, self.template_size) < TOTAL_STRIDE
+                or max(self.search_size, self.template_size) > MAX_INPUT_SIZE
                 or self.search_size % TOTAL_STRIDE
                 or self.template_size % TOTAL_STRIDE):
             raise ConfigError(
-                "input sizes must be positive multiples of the total stride")
+                f"input sizes must be multiples of the total stride from "
+                f"{TOTAL_STRIDE} to {MAX_INPUT_SIZE}")
         for size in (self.template_size, self.search_size):
             # later stages halve this grid, so it must be size / stride
             if self.grid_side(size, 0) * self.embed_stride != size:
@@ -307,7 +323,6 @@ class Model:
     def __init__(self, config: VariantConfig, seed: Optional[int] = 42):
         config.validate()
         self.cfg = config
-        self.seed = seed
         self.store = ParamStore()
         rng = None if seed is None else np.random.default_rng(seed)
         stages = config.stages
@@ -328,15 +343,12 @@ class Model:
                     blocks.append(LocalLayer(self.store, prefix, rng,
                                              st.channels,
                                              mlp_ratio=st.mlp_ratio))
-                elif last and config.pattern == "urm":
-                    blocks.append(UrmLayer(self.store, prefix, rng, st.channels,
-                                           st.heads, mlp_ratio=st.mlp_ratio,
-                                           cond_pe=cond))
                 else:
-                    blocks.append(FrmLayer(self.store, prefix, rng, st.channels,
-                                           st.heads, mlp_ratio=st.mlp_ratio,
-                                           sr_ratio=st.sr_ratio,
-                                           cond_pe=cond))
+                    joint = last and config.pattern == "urm"
+                    blocks.append((UrmLayer if joint else FrmLayer)(
+                        self.store, prefix, rng, st.channels, st.heads,
+                        mlp_ratio=st.mlp_ratio, sr_ratio=st.sr_ratio,
+                        cond_pe=cond))
             self.stage_blocks.append(blocks)
             if not last:
                 nxt = stages[si + 1]
@@ -500,11 +512,8 @@ def count_flops(m: Model):
     for si, blocks in enumerate(m.stage_blocks[:-1]):
         lz, lx = sides["z"] ** 2, sides["x"] ** 2
         for bi, blk in enumerate(blocks):
-            if isinstance(blk, LocalLayer):
-                fl = blk.flops(lz) + blk.flops(lx)
-            else:
-                fl = blk.flops(lz, lx, "SA")
-            entries.append((f"stage{si + 1}.block{bi}", fl))
+            entries.append((f"stage{si + 1}.block{bi}",
+                            blk.flops(lz) + blk.flops(lx)))
         inter = m.inter_ops[si]
         entries.append((f"inter{si + 1}",
                         inter.flops(sides["z"], sides["z"])
@@ -516,7 +525,9 @@ def count_flops(m: Model):
         if cfg.pattern == "urm":
             fl = blk.flops(lz + lx)
         else:
-            fl = blk.flops(lz, lx, "SA" if bi % 2 == 0 else "CA")
+            # interleaved: even blocks attend within each map, odd across
+            kz, kx = (lx, lz) if bi % 2 else (lz, lx)
+            fl = blk.flops(lz, kz) + blk.flops(lx, kx)
         entries.append((f"stage{n_stages}.block{bi}", fl))
     entries.append(("head", m.head.flops(lx)))
     return sum(f for _, f in entries), entries
@@ -600,8 +611,7 @@ class MimPretrainer:
         biases = model._joint_biases(tm.layout(), None)
         for blk, bias in zip(model.stage_blocks[-1], biases):
             # one image: every block acts as self-attention
-            tm = (blk(tm, bias=bias) if isinstance(blk, UrmLayer)
-                  else blk.self_block(tm))
+            tm = blk.self_block(tm, bias=bias)
         return model.final_ln(tm.tokens)
 
     def loss(self, image: Tensor, mask_ratio: float,

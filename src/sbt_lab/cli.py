@@ -346,9 +346,9 @@ def cmd_gen_data(args, out):
         raise ConfigError(f"--sequences must be >= 1, got {args.sequences}")
     if args.length < 2:
         raise ConfigError(f"--length must be >= 2, got {args.length}")
-    if args.frame_size < hn.MIN_FRAME_SIZE:
-        raise ConfigError(f"--frame-size must be >= {hn.MIN_FRAME_SIZE}, "
-                          f"got {args.frame_size}")
+    if not hn.MIN_FRAME_SIZE <= args.frame_size <= hn.MAX_FRAME_SIZE:
+        raise ConfigError(f"--frame-size must be from {hn.MIN_FRAME_SIZE} to "
+                          f"{hn.MAX_FRAME_SIZE}, got {args.frame_size}")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         for k in range(args.sequences):

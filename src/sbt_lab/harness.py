@@ -39,6 +39,8 @@ _MARGIN = 2.0
 _MAX_WIDTH, _MAX_ASPECT, _MAX_DISTRACTOR = 0.22, 1.25, 1.2
 MIN_FRAME_SIZE = math.ceil(
     2 * _MARGIN / (1.0 - _MAX_DISTRACTOR * _MAX_WIDTH * _MAX_ASPECT))
+# a sequence is held whole: 60 frames of 2048 px take 755 MB as uint8
+MAX_FRAME_SIZE = 2048
 
 BRIGHTNESS_JITTER = 0.10
 # translation must move the target several grid cells off center, or
@@ -125,9 +127,9 @@ def gen_sequence(seed: int, length: int = DEFAULT_LENGTH,
         raise ContractError(f"sequence length must be >= 2, got {length}")
     if difficulty not in DIFFICULTIES:
         raise ConfigError(f"unknown difficulty {difficulty!r}")
-    if frame_size < MIN_FRAME_SIZE:
-        raise ConfigError(f"frame size must be >= {MIN_FRAME_SIZE}, "
-                          f"got {frame_size}")
+    if not MIN_FRAME_SIZE <= frame_size <= MAX_FRAME_SIZE:
+        raise ConfigError(f"frame size must be from {MIN_FRAME_SIZE} to "
+                          f"{MAX_FRAME_SIZE}, got {frame_size}")
     rng = np.random.default_rng(seed)
     s = frame_size
     bg = _smooth_noise(rng, s, s)

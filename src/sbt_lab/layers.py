@@ -6,7 +6,9 @@ maps (shallow stages) and concatenated template/search maps (main stage).
 A segment's tokens reshape to its (h, w, C) grid without a copy, which is
 the layout ``autodiff.conv2d`` reads and writes. Only the input image is
 channels-first, (3, H, W); ``PatchEmbed`` reads it through one transposed
-view. All layers are pure functions of (inputs, parameters).
+view. All layers are pure functions of (inputs, parameters). The FRM
+(interleaved SA/CA) and URM (joint attention) layers are one pre-norm
+block, ``PreNormBlock``, that differ only in which tokens attend to which.
 """
 
 from __future__ import annotations
@@ -362,9 +364,9 @@ class LayerNormParams:
 # FRM / URM layers
 # ---------------------------------------------------------------------------
 
-class FrmLayer:
-    """Feature relation modeling: pre-LN attention (SA within, CA across
-    images) + residual, then pre-LN MLP + residual."""
+class PreNormBlock:
+    """Pre-LN attention + residual, then pre-LN MLP + residual.
+    ``self_block`` runs it as self-attention over one token map."""
 
     def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
                  heads: int, mlp_ratio: float = 4.0, sr_ratio: int = 1,
@@ -376,14 +378,31 @@ class FrmLayer:
         self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
                        int(channels * mlp_ratio), cond_pe=cond_pe)
 
+    def _attend(self, tm: TokenMap, bias: Optional[Tensor] = None,
+                mask: Optional[np.ndarray] = None) -> Tensor:
+        """Residual self-attention step; bias: the (heads, L, L) relative
+        bias of tm's layout, if any."""
+        normed = tm.with_tokens(self.ln1(tm.tokens))
+        return ad.add(tm.tokens, self.attn(normed, normed, bias=bias,
+                                           mask=mask))
+
     def _mlp_update(self, tm: TokenMap, t: Tensor) -> TokenMap:
         return tm.with_tokens(ad.add(t, self.mlp(self.ln2(t),
                                                  layout=tm.layout())))
 
-    def self_block(self, tm: TokenMap) -> TokenMap:
-        """The whole block as self-attention on one map."""
-        normed = tm.with_tokens(self.ln1(tm.tokens))
-        return self._mlp_update(tm, ad.add(tm.tokens, self.attn(normed, normed)))
+    def self_block(self, tm: TokenMap, bias: Optional[Tensor] = None,
+                   mask: Optional[np.ndarray] = None) -> TokenMap:
+        return self._mlp_update(tm, self._attend(tm, bias, mask))
+
+    def flops(self, lq: int, lkv: Optional[int] = None) -> int:
+        """lq query tokens attending to lkv tokens (default: themselves)."""
+        lkv = lq if lkv is None else lkv
+        return self.attn.flops(lq, lkv) + self.mlp.flops(lq)
+
+
+class FrmLayer(PreNormBlock):
+    """Feature relation modeling: the block as SA within each image, or
+    as CA across template and search."""
 
     def attention_update(self, z: TokenMap, x: TokenMap):
         """Residual cross-attention step only; returns updated token tensors."""
@@ -402,44 +421,13 @@ class FrmLayer:
         zt, xt = self.attention_update(z, x)
         return self._mlp_update(z, zt), self._mlp_update(x, xt)
 
-    def flops(self, lz: int, lx: int, mode: str) -> int:
-        if mode == "SA":
-            a = self.attn.flops(lz, lz) + self.attn.flops(lx, lx)
-        else:
-            a = self.attn.flops(lz, lx) + self.attn.flops(lx, lz)
-        return a + self.mlp.flops(lz) + self.mlp.flops(lx)
 
+class UrmLayer(PreNormBlock):
+    """Unified relation modeling: the block as one MHSA over the
+    concatenated template(+dynamic)+search tokens."""
 
-class UrmLayer:
-    """Unified relation modeling: one MHSA over the concatenated
-    template(+dynamic)+search tokens, then the MLP, both pre-LN residual."""
-
-    def __init__(self, store: ParamStore, prefix: str, rng, channels: int,
-                 heads: int, mlp_ratio: float = 4.0, cond_pe: bool = False):
-        self.ln1 = LayerNormParams(store, f"{prefix}.ln1", channels)
-        self.attn = Attention(store, f"{prefix}.attn", rng, channels, heads)
-        self.ln2 = LayerNormParams(store, f"{prefix}.ln2", channels)
-        self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
-                       int(channels * mlp_ratio), cond_pe=cond_pe)
-
-    def attention_update(self, tm: TokenMap, bias: Optional[Tensor] = None,
-                         mask: Optional[np.ndarray] = None) -> Tensor:
-        """bias: the (heads, L, L) relative bias of tm's layout, if any."""
-        if len(tm.segments) < 1:
-            raise ContractError("URM needs segment metadata")
-        normed = tm.with_tokens(self.ln1(tm.tokens))
-        upd = self.attn(normed, normed, bias=bias, mask=mask)
-        return ad.add(tm.tokens, upd)
-
-    def __call__(self, tm: TokenMap, bias: Optional[Tensor] = None,
-                 mask: Optional[np.ndarray] = None) -> TokenMap:
-        t = self.attention_update(tm, bias, mask)
-        t = ad.add(t, self.mlp(self.ln2(t), layout=tm.layout()))
-        return tm.with_tokens(t)
-
-    def flops(self, length: int) -> int:
-        c = self.attn.channels
-        return 4 * c * c * length + 2 * c * length * length + self.mlp.flops(length)
+    attention_update = PreNormBlock._attend
+    __call__ = PreNormBlock.self_block
 
 
 def segment_mask(tm: TokenMap, keep: str) -> np.ndarray:

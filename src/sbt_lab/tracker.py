@@ -170,21 +170,13 @@ class TrackerState:
         with ad.no_grad():
             self.template_feat = model.encode_early(Tensor(template_patch),
                                                     "template")
-        self.dyn_patch = None
         self.dyn_feat = None
         if config.temporal:
             # the dynamic template starts as the template crop; encoding is
             # per image, so its features are the template's, retagged
-            self.dyn_patch = template_patch
             feat = self.template_feat
             self.dyn_feat = TokenMap(feat.tokens, list(feat.grids),
                                      ["dyn_template"])
-
-    def set_dyn_template(self, patch):
-        self.dyn_patch = patch
-        with ad.no_grad():
-            self.dyn_feat = self.model.encode_early(Tensor(patch),
-                                                    "dyn_template")
 
     @property
     def prev_center(self) -> tuple:
@@ -250,8 +242,9 @@ def maybe_update_template(state: TrackerState, frame: np.ndarray,
         return False
     if state.frame_index - state.last_update_frame < cfg.update_interval:
         return False
-    state.set_dyn_template(crop_template(frame, state.prev_box,
-                                         state.model.cfg.template_size))
+    patch = crop_template(frame, state.prev_box, state.model.cfg.template_size)
+    with ad.no_grad():
+        state.dyn_feat = state.model.encode_early(Tensor(patch), "dyn_template")
     state.last_update_frame = state.frame_index
     return True
 

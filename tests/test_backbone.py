@@ -413,6 +413,17 @@ heads = 2
         ("inter_stage = merge", "inter_stage = merge\nembed_padding = -1"),
         # a 13x13 embed grid, not 64 / 4: every forward would fail
         ("embed_kernel = 4", "embed_kernel = 16"),
+        # oversized: the build would fail allocating, or never finish
+        ("mlp_ratio = 2.0", "mlp_ratio = 1e30"),
+        ("channels = 16", "channels = 2000000000"),
+        ("channels = 16", f"channels = {bb.MAX_CHANNELS + 16}"),
+        ("mlp_ratio = 2.0", f"mlp_ratio = {bb.MAX_MLP_WIDTH / 8 + 1}"),
+        ("blocks = 2", f"blocks = {bb.MAX_BLOCKS + 1}"),
+        ("search_size = 64", f"search_size = {bb.MAX_INPUT_SIZE + 16}"),
+        ("template_size = 32", f"template_size = {bb.MAX_INPUT_SIZE + 16}"),
+        # a grid of the right side, from a 2e9-wide kernel
+        ("embed_kernel = 4",
+         "embed_kernel = 2000000004\nembed_padding = 1000000000"),
     ])
     def test_ignored_or_crashing_values_rejected(self, old, new):
         with pytest.raises(ConfigError):

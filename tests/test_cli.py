@@ -659,6 +659,8 @@ class TestOutAndScheduleChecks:
         ["--frame-size", "3"],
         ["--frame-size=-5"],
         ["--frame-size", str(hn.MIN_FRAME_SIZE - 1)],
+        ["--frame-size", str(hn.MAX_FRAME_SIZE + 1)],
+        ["--frame-size", "60000"],
         ["--sequences", "0"],
         ["--sequences=-2"],
         ["--length", "1"],

@@ -76,7 +76,8 @@ class TestGenSequence:
             hn.gen_sequence(0, length=1)
         with pytest.raises(ConfigError):
             hn.gen_sequence(0, difficulty="impossible")
-        for size in (-5, 0, hn.MIN_FRAME_SIZE - 1):
+        for size in (-5, 0, hn.MIN_FRAME_SIZE - 1, hn.MAX_FRAME_SIZE + 1,
+                     60000):
             with pytest.raises(ConfigError, match="frame size"):
                 hn.gen_sequence(0, length=2, frame_size=size)
 

@@ -316,6 +316,26 @@ class TestUrm:
         x_term = a(zn[1], zn[0]).data + x.tokens.data
         np.testing.assert_allclose(masked, np.vstack([z_term, x_term]), atol=1e-6)
 
+    @pytest.mark.parametrize("cond_pe", [False, True])
+    def test_frm_sa_is_urm_on_each_map(self, cond_pe):
+        # one pre-norm block: FRM's SA step is URM's joint step on one map
+        stores, blocks = [], []
+        for cls in (FrmLayer, UrmLayer):
+            stores.append(ParamStore())
+            blocks.append(cls(stores[-1], "blk", np.random.default_rng(60),
+                              8, 2, cond_pe=cond_pe))
+        (frm_ps, urm_ps), (frm, urm) = stores, blocks
+        assert frm_ps.names() == urm_ps.names()
+        for (_, p), (_, q) in zip(frm_ps.items(), urm_ps.items()):
+            assert p.data.tobytes() == q.data.tobytes()
+        rng = np.random.default_rng(61)
+        z = make_map(rng, 4, 8, tag="template", grid=(2, 2), dtype=np.float32)
+        x = make_map(rng, 16, 8, grid=(4, 4), dtype=np.float32)
+        for before, after in zip((z, x), frm(z, x, "SA")):
+            got = urm(before)
+            assert got.layout() == after.layout()
+            assert got.tokens.data.tobytes() == after.tokens.data.tobytes()
+
     def test_attention_flops_formula(self):
         ps, rng = ParamStore(), np.random.default_rng(40)
         urm = UrmLayer(ps, "urm", rng, 512, 8)

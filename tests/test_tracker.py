@@ -145,7 +145,6 @@ class TestInit:
         monkeypatch.setattr(model, "encode_early", spy)
         state = trk.init(textured_frame(5), (40, 40, 24, 24), model,
                          trk.TrackerConfig(temporal=True))
-        np.testing.assert_array_equal(state.dyn_patch, state.template_patch)
         # one encode serves both templates, tagged apart
         assert tags == ["template"]
         assert state.dyn_feat.segments == ["dyn_template"]
@@ -286,13 +285,31 @@ class TestTemplateUpdate:
         state = trk.init(frame, (48, 48, 32, 32), model, cfg)
         return state, frame
 
-    def test_update_when_confident_and_due(self):
+    def test_update_when_confident_and_due(self, monkeypatch):
         state, frame = self.setup_state(interval=2)
         state.frame_index = 5
-        old = state.dyn_patch.copy()
+        # the target moved: the new crop is not the template crop
+        state.prev_box = (40.0, 44.0, 28.0, 30.0)
+        old = state.dyn_feat
+        model, encode, calls = state.model, state.model.encode_early, []
+
+        def spy(image, tag):
+            calls.append((image.data.copy(), tag))
+            return encode(image, tag)
+
+        monkeypatch.setattr(model, "encode_early", spy)
         assert trk.maybe_update_template(state, frame, 0.9)
         assert state.last_update_frame == 5
-        assert not np.array_equal(state.dyn_patch, old) or True
+        crop = trk.crop_template(frame, state.prev_box, model.cfg.template_size)
+        assert [tag for _, tag in calls] == ["dyn_template"]
+        np.testing.assert_array_equal(calls[0][0], crop)
+        with ad.no_grad():
+            fresh = encode(Tensor(crop), "dyn_template")
+        assert state.dyn_feat.segments == ["dyn_template"]
+        np.testing.assert_array_equal(state.dyn_feat.tokens.data,
+                                      fresh.tokens.data)
+        assert not np.array_equal(state.dyn_feat.tokens.data,
+                                  old.tokens.data)
 
     def test_no_update_below_threshold(self):
         state, frame = self.setup_state(interval=2)
