@@ -488,7 +488,11 @@ def build_variant(spec, seed: Optional[int] = 42) -> Model:
     """
     if isinstance(spec, str):
         spec = named_config(spec)
-    return Model(spec, seed=seed)
+    try:
+        return Model(spec, seed=seed)
+    except (MemoryError, OSError) as e:  # OSError: trunc_normal's mmap
+        raise ConfigError(f"cannot allocate variant {spec.name}: "
+                          f"{str(e) or 'out of memory'}") from None
 
 
 def count_params(m: Model) -> int:

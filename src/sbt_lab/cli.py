@@ -31,8 +31,6 @@ from .layers import (
     FrmLayer, TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps,
     segment_mask,
 )
-from .loss import total_loss
-from .optim import AdamW
 
 # variants whose float32 shapes the selftest's thread-split check runs
 THREAD_SPLIT_VARIANTS = ("supersbt-light", "hi-sbt")
@@ -138,6 +136,13 @@ def _check_training_flags(args):
         raise ConfigError(f"--weight-decay must be a finite number >= 0, "
                           f"got {wd}")
     _check_out_file(args.out)
+
+
+def _save(model, path, out):
+    with _writing(path):
+        bb.save_checkpoint(model, path)
+    out.write(f"saved {path}\n")
+    return 0
 
 
 def _parse_box(text):
@@ -247,22 +252,19 @@ def _selftest_float32_kernels(seed):
 
 def _thread_split_arrays(name, seed):
     """A variant's float32 outputs at the calling thread's width: the
-    no-graph prediction, one training step's gradients and the weights
-    after its AdamW update."""
+    no-graph prediction, and one training step's clipped gradients and
+    updated weights."""
     model = bb.build_variant(name, seed=seed)
     cfg = model.cfg
     rng = np.random.default_rng(seed)
-    z = Tensor(rng.random((3, cfg.template_size, cfg.template_size),
-                          dtype=np.float32))
-    x = Tensor(rng.random((3, cfg.search_size, cfg.search_size),
-                          dtype=np.float32))
+    z = rng.random((3, cfg.template_size, cfg.template_size), dtype=np.float32)
+    x = rng.random((3, cfg.search_size, cfg.search_size), dtype=np.float32)
     with ad.no_grad():
-        pred = model.predict(z, x)
+        pred = model.predict(Tensor(z), Tensor(x))
     arrays = [pred.score.data, pred.offset.data, pred.size.data]
-    loss, _ = total_loss(model.predict(z, x), (0.5, 0.5, 0.25, 0.25))
-    ad.backward(loss)
+    hn.train_loop(model, [], steps=1, lr=1e-3,
+                  fixed_sample=(z, x, (0.5, 0.5, 0.25, 0.25)))
     arrays += [p.grad for _, p in model.store.items()]
-    AdamW(model.store, lr=1e-3).step()
     return arrays + [p.data for _, p in model.store.items()]
 
 
@@ -375,10 +377,7 @@ def cmd_train(args, out):
     hn.train_loop(model, seqs, steps=args.steps, lr=args.lr,
                   weight_decay=args.weight_decay, seed=args.seed,
                   log_every=args.log_every, log_fn=log)
-    with _writing(args.out):
-        bb.save_checkpoint(model, args.out)
-    out.write(f"saved {args.out}\n")
-    return 0
+    return _save(model, args.out, out)
 
 
 def cmd_pretrain_mim(args, out):
@@ -397,10 +396,7 @@ def cmd_pretrain_mim(args, out):
                      log_every=args.log_every,
                      log_fn=lambda step, recon: out.write(
                          f"step {step} recon={recon:.6f}\n"))
-    with _writing(args.out):
-        bb.save_checkpoint(model, args.out)
-    out.write(f"saved {args.out}\n")
-    return 0
+    return _save(model, args.out, out)
 
 
 def _tracker_config(args):
@@ -556,7 +552,9 @@ def run(argv, out=None) -> int:
         if getattr(args, "fn", None) is None:
             parser.print_usage(sys.stderr)
             return 1
-        # a bad SBT_LAB_THREADS fails here, before any model or data work
+        # a bad --seed or SBT_LAB_THREADS fails here, before any work
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         ad.set_threads()
         return args.fn(args, out)
     except NumericError as e:

@@ -252,24 +252,29 @@ def load_sequence(path) -> SyntheticSequence:
     gt_path = os.path.join(path, "gt.csv")
     try:
         with open(gt_path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1)
+                     if ln.strip()]
     except OSError as e:
         raise FormatError(f"cannot read {gt_path}: {e}")
     except UnicodeDecodeError as e:
         raise FormatError(f"{gt_path} is not ASCII text: {e.reason} at "
                           f"byte {e.start}")
     gt = []
-    for ln in lines:
+    for n, ln in lines:
+        where = f"{gt_path} line {n}"
         parts = ln.split(",")
         if len(parts) != 5:
-            raise FormatError(f"{gt_path}: expected frame_idx,x,y,w,h: {ln!r}")
+            raise FormatError(f"{where}: expected frame_idx,x,y,w,h: {ln!r}")
         try:
             idx = int(parts[0])
             box = tuple(float(v) for v in parts[1:])
         except ValueError:
-            raise FormatError(f"{gt_path}: non-numeric field in {ln!r}")
+            raise FormatError(f"{where}: non-numeric field in {ln!r}")
         if idx != len(gt):
-            raise FormatError(f"{gt_path}: non-contiguous frame index {idx}")
+            raise FormatError(f"{where}: non-contiguous frame index {idx}")
+        if not (np.isfinite(box).all() and box[2] > 0 and box[3] > 0):
+            raise FormatError(f"{where}: box values must be finite, with w "
+                              f"and h > 0: {ln!r}")
         gt.append(box)
     frames = []
     for i in range(len(gt)):
@@ -346,81 +351,73 @@ def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
     """AdamW training over jittered sampled pairs; aborts on non-finite loss.
 
     fixed_sample, when given, overrides sampling entirely (overfit mode).
-    stop_fn(step, parts), when given, ends training early after the step
-    whose recorded losses make it return True. Gradients are clipped to
-    a global L2 norm of GRAD_CLIP.
+    log_fn and stop_fn get (step, the step's loss parts); see _optimise.
     """
     rng = np.random.default_rng(seed)
-    opt = AdamW(model.store, lr=lr, weight_decay=weight_decay)
-    result = TrainResult()
-    for step in range(steps):
+
+    def step():
         if fixed_sample is not None:
             template, search, gt = fixed_sample
         else:
             seq = sequences[int(rng.integers(0, len(sequences)))]
             template, search, gt = sample_pair(seq, model.cfg, rng)
-        parts = _train_step(model, opt, template, search, gt, step)
-        result.losses.append(parts["total"])
-        result.components.append(parts)
-        if log_fn is not None and (step % log_every == 0 or step == steps - 1):
-            log_fn(step, parts)
-        if stop_fn is not None and stop_fn(step, parts):
-            break
-    return result
+        _, f_x = model.forward_pair(Tensor(template), Tensor(search))
+        return total_loss(model.head(f_x), gt)
 
-
-def _train_step(model: Model, opt: AdamW, template, search, gt,
-                step: int) -> dict:
-    """One forward, backward, clip and AdamW update; returns the loss parts.
-
-    The last step's gradients go before the forward, so the graph never
-    sits on top of them. backward consumes the graph, and the step's
-    outputs die with this frame: between steps only the parameters, their
-    gradients and the AdamW moments stay alive.
-    """
-    model.store.zero_grad()
-    _, f_x = model.forward_pair(Tensor(template), Tensor(search))
-    loss, parts = total_loss(model.head(f_x), gt)
-    if not np.isfinite(loss.data).all():
-        raise NumericError(f"non-finite loss at step {step}")
-    ad.backward(loss)
-    clip_grad_norm(model.store, GRAD_CLIP)
-    opt.step()
-    return parts
+    opt = AdamW(model.store, lr=lr, weight_decay=weight_decay)
+    parts = _optimise([opt], steps, step, log_every, log_fn, stop_fn)
+    return TrainResult([p["total"] for p in parts], parts)
 
 
 def pretrain_loop(pretrainer: MimPretrainer, sequences, steps: int,
                   lr: float, mask_ratio: float, seed: int,
                   log_every: int = 50,
                   log_fn: Optional[Callable] = None) -> list:
-    """Masked-image pretraining over jittered search crops.
-
-    The encoder (pretrainer.model) and the decoder each get an AdamW at
-    weight decay 1e-4 and are clipped to GRAD_CLIP apart. Returns the
-    reconstruction loss of every step; log_fn(step, loss) is called
-    every log_every steps and at the last.
-    """
+    """Masked-image pretraining over jittered search crops, with one AdamW
+    at weight decay 1e-4 for the encoder (pretrainer.model) and one for the
+    decoder. Returns each step's reconstruction loss; see _optimise."""
     model = pretrainer.model
     rng = np.random.default_rng(seed)
-    # the encoder's head gets no gradient here, so it is skipped
-    opt_enc = AdamW(model.store, lr=lr, weight_decay=1e-4, strict=False)
-    opt_dec = AdamW(pretrainer.store, lr=lr, weight_decay=1e-4)
-    losses = []
-    for step in range(steps):
+
+    def step():
         seq = sequences[int(rng.integers(0, len(sequences)))]
         _, search, _ = sample_pair(seq, model.cfg, rng)
-        model.store.zero_grad()
-        pretrainer.store.zero_grad()
         loss = pretrainer.loss(Tensor(search), mask_ratio, rng)
+        return loss, loss.item()
+
+    # the encoder's head gets no gradient here, so it is skipped
+    opts = [AdamW(model.store, lr=lr, weight_decay=1e-4, strict=False),
+            AdamW(pretrainer.store, lr=lr, weight_decay=1e-4)]
+    return _optimise(opts, steps, step, log_every, log_fn)
+
+
+def _optimise(optimizers, steps: int, step_fn: Callable, log_every: int,
+              log_fn: Optional[Callable],
+              stop_fn: Optional[Callable] = None) -> list:
+    """Up to `steps` AdamW steps on step_fn() -> (loss, record); returns
+    the records. Gradients drop before each forward and backward consumes
+    the graph, so no step holds an earlier step's arrays. Each optimizer
+    is clipped to GRAD_CLIP on its own. log_fn(step, record) runs every
+    log_every steps and at the last; stop_fn(step, record) returning True
+    ends the run."""
+    records = []
+    for step in range(steps):
+        for opt in optimizers:
+            opt.params.zero_grad()
+        loss, record = step_fn()
+        if not np.isfinite(loss.data).all():
+            raise NumericError(f"non-finite loss at step {step}")
         ad.backward(loss)
-        clip_grad_norm(model.store, GRAD_CLIP)
-        clip_grad_norm(pretrainer.store, GRAD_CLIP)
-        opt_enc.step()
-        opt_dec.step()
-        losses.append(loss.item())
+        for opt in optimizers:
+            clip_grad_norm(opt.params, GRAD_CLIP)
+        for opt in optimizers:
+            opt.step()
+        records.append(record)
         if log_fn is not None and (step % log_every == 0 or step == steps - 1):
-            log_fn(step, losses[-1])
-    return losses
+            log_fn(step, record)
+        if stop_fn is not None and stop_fn(step, record):
+            break
+    return records
 
 
 # ---------------------------------------------------------------------------

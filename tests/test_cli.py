@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import os
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sbt_lab import autodiff as ad
 from sbt_lab import backbone as bb
 from sbt_lab import cli
 from sbt_lab import harness as hn
@@ -457,6 +459,22 @@ TRAINING_REFERENCES = {
 }
 
 
+@pytest.fixture(scope="module")
+def seed42_checkpoint(tmp_path_factory):
+    """The path of a variant's build_variant(variant, seed=42) checkpoint,
+    built and saved once per module."""
+    paths = {}
+
+    def get(variant):
+        if variant not in paths:
+            path = str(tmp_path_factory.mktemp("ckpt") / f"{variant}.sbtc")
+            bb.save_checkpoint(bb.build_variant(variant, seed=42), path)
+            paths[variant] = path
+        return paths[variant]
+
+    return get
+
+
 class TestCheckpointCommands:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("command,variant", list(TRAINING_REFERENCES))
@@ -473,15 +491,17 @@ class TestCheckpointCommands:
             TRAINING_REFERENCES[command, variant]
 
     @staticmethod
-    def assert_outputs_match(variant, temporal, dataset, tmp_path,
+    def assert_outputs_match(variant, temporal, dataset, seed42_checkpoint,
                              build_seeds):
-        ckpt = str(tmp_path / "m.sbtc")
-        bb.save_checkpoint(bb.build_variant(variant, seed=42), ckpt)
+        ckpt = seed42_checkpoint(variant)
         build_seeds.clear()
         flags = ["--variant", variant, "--checkpoint", ckpt]
         flags += ["--temporal"] if temporal else []
         report, boxes = REFERENCE_OUTPUTS[variant, temporal]
-        for jobs in ("1", "2"):
+        # evaluate caps its workers at max_threads(), so with one thread
+        # --jobs 2 would repeat the --jobs 1 run
+        jobs_runs = ("1", "2") if hn.max_threads() > 1 else ("1",)
+        for jobs in jobs_runs:
             assert run(["eval", "--data", dataset, "--jobs", jobs]
                        + flags) == (0, report)
         video = os.path.join(dataset, "seq_1")
@@ -489,15 +509,15 @@ class TestCheckpointCommands:
         assert run(["track", "--video", video, "--init", init]
                    + flags) == (0, boxes)
         # the checkpoint fills every model, so none draws values
-        assert build_seeds == [None] * 3
+        assert build_seeds == [None] * (len(jobs_runs) + 1)
 
     # at the default width, SBT_LAB_THREADS as the environment has it;
     # the other two references run at each width below
     @pytest.mark.parametrize("variant,temporal", [("supersbt-light", True)])
     def test_outputs_match_reference(self, variant, temporal, dataset,
-                                     tmp_path, build_seeds):
-        self.assert_outputs_match(variant, temporal, dataset, tmp_path,
-                                  build_seeds)
+                                     seed42_checkpoint, build_seeds):
+        self.assert_outputs_match(variant, temporal, dataset,
+                                  seed42_checkpoint, build_seeds)
 
     # width 1 everywhere; width 4 at --jobs 1, and two pool workers
     # forking at width 2 at once at --jobs 2
@@ -505,11 +525,11 @@ class TestCheckpointCommands:
     @pytest.mark.parametrize("variant,temporal", [("supersbt-light", False),
                                                   ("hi-sbt", True)])
     def test_outputs_match_reference_at_each_thread_count(
-            self, variant, temporal, threads, dataset, tmp_path,
+            self, variant, temporal, threads, dataset, seed42_checkpoint,
             monkeypatch, build_seeds):
         monkeypatch.setenv("SBT_LAB_THREADS", threads)
-        self.assert_outputs_match(variant, temporal, dataset, tmp_path,
-                                  build_seeds)
+        self.assert_outputs_match(variant, temporal, dataset,
+                                  seed42_checkpoint, build_seeds)
 
     @pytest.mark.parametrize("defect", ["missing", "reshaped"])
     @pytest.mark.parametrize("command", ["eval", "track"])
@@ -578,6 +598,26 @@ class TestPretrainMim:
         assert runs[0] == runs[1]
         assert runs[0][0].count(" recon=") == 2
 
+    def test_non_finite_loss_exit_two(self, tiny_cfg, dataset, tmp_path,
+                                      monkeypatch, capsys):
+        real, calls = bb.MimPretrainer.loss, []
+
+        def loss(self, image, mask_ratio, rng):
+            calls.append(image)
+            out = real(self, image, mask_ratio, rng)
+            return out * np.nan if len(calls) == 2 else out
+
+        monkeypatch.setattr(bb.MimPretrainer, "loss", loss)
+        ckpt = tmp_path / "mim.sbtc"
+        code, text = run(["pretrain-mim", "--data", dataset, "--variant-file",
+                          tiny_cfg, "--steps", "3", "--out", str(ckpt),
+                          "--log-every", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and len(calls) == 2
+        assert text.startswith("step 0 recon=") and text.count("\n") == 1
+        assert err == "error: non-finite loss at step 1\n"
+        assert not ckpt.exists()
+
     def test_bad_mask_ratio_exit_one(self, tiny_cfg, dataset, tmp_path):
         code, _ = run(["pretrain-mim", "--data", dataset, "--variant-file",
                        tiny_cfg, "--steps", "1", "--mask-ratio", "1.5",
@@ -587,6 +627,17 @@ class TestPretrainMim:
 
 def _no_work(*a, **k):
     raise AssertionError("model or data work ran before the flag check")
+
+
+def _required_flags(command, tmp_path, out):
+    """The flags each subcommand requires, naming tmp_path and out."""
+    return {
+        "gen-data": ["--out", str(out)],
+        "train": ["--data", str(tmp_path), "--out", str(out)],
+        "pretrain-mim": ["--data", str(tmp_path), "--out", str(out)],
+        "track": ["--video", str(tmp_path), "--init", "1,1,4,4"],
+        "eval": ["--data", str(tmp_path)],
+    }.get(command, [])
 
 
 class TestThreadCount:
@@ -605,14 +656,7 @@ class TestThreadCount:
             monkeypatch.setattr(mod, name, _no_work)
         monkeypatch.setenv("SBT_LAB_THREADS", value)
         out = tmp_path / "out"
-        argv = {
-            "gen-data": ["--out", str(out)],
-            "train": ["--data", str(tmp_path), "--out", str(out)],
-            "pretrain-mim": ["--data", str(tmp_path), "--out", str(out)],
-            "track": ["--video", str(tmp_path), "--init", "1,1,4,4"],
-            "eval": ["--data", str(tmp_path)],
-        }.get(command, [])
-        code, text = run([command] + argv)
+        code, text = run([command] + _required_flags(command, tmp_path, out))
         err = capsys.readouterr().err
         assert code == 1 and text == ""
         assert err.count("\n") == 1
@@ -647,6 +691,18 @@ class TestOutAndScheduleChecks:
                          + inputs)
         self.assert_one_line_error(code, text, capsys, out)
 
+    @pytest.mark.parametrize("command", TestHelpAndErrors.SUBCOMMANDS)
+    def test_negative_seed_fails_before_work(self, command, tmp_path,
+                                             forbid_work, monkeypatch,
+                                             capsys):
+        for name in ("_load_frames", "_selftest_grad_checks"):
+            monkeypatch.setattr(cli, name, _no_work)
+        out = tmp_path / "out"
+        code, text = run([command, "--seed", "-1"]
+                         + _required_flags(command, tmp_path, out))
+        self.assert_one_line_error(code, text, capsys, "--seed")
+        assert not out.exists()
+
     def test_gen_data_out_under_a_file(self, tmp_path, forbid_work, capsys):
         f = tmp_path / "f"
         f.write_text("")
@@ -672,6 +728,22 @@ class TestOutAndScheduleChecks:
         self.assert_one_line_error(code, text, capsys,
                                    flags[0].split("=")[0])
         assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["1,nan,10,20,20", "1,10,1e999,20,20",
+                                     "1,10,10,0,20", "1,10,10,-20,20",
+                                     "1,10,10,20,-inf"])
+    def test_impossible_gt_box_exit_one(self, row, tiny_cfg, dataset,
+                                        capsys):
+        gt = os.path.join(dataset, "seq_2", "gt.csv")
+        with open(gt) as fh:
+            lines = fh.read().splitlines()
+        # a blank line still counts
+        lines[1:2] = ["", row]
+        with open(gt, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, text = run(["eval", "--data", dataset, "--variant-file",
+                          tiny_cfg])
+        self.assert_one_line_error(code, text, capsys, f"{gt} line 3: ")
 
     def test_smallest_frame_size_generates(self, tmp_path):
         out = tmp_path / "data"
@@ -735,3 +807,38 @@ class TestOutAndScheduleChecks:
                        "--out", str(tmp_path / "x.sbtc"), "--steps", "0",
                        "--weight-decay", "0", "--log-every", "1"])
         assert code == 0
+
+
+class TestAllocationFailure:
+    """A variant build that cannot allocate is one error line. The failure
+    is forced, so that no case allocates: an unseeded build maps its
+    values (mmap), a seeded one draws them before ParamStore.add."""
+
+    @pytest.fixture
+    def no_memory(self, monkeypatch):
+        def mmap(*a, **k):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        def add(*a, **k):
+            raise MemoryError("Unable to allocate 48.0 GiB for an array")
+
+        monkeypatch.setattr(ad, "mmap", SimpleNamespace(mmap=mmap))
+        monkeypatch.setattr(ParamStore, "add", add)
+
+    # selftest builds only the named variants, which fit
+    @pytest.mark.parametrize("command,extra", [
+        ("variant-info", []), ("flops", []), ("train", []),
+        ("pretrain-mim", []), ("track", []), ("eval", []),
+        ("eval", ["--checkpoint", "m.sbtc"]),
+        ("track", ["--checkpoint", "m.sbtc"]),
+    ])
+    def test_failed_build_is_one_line(self, command, extra, tiny_cfg,
+                                      tmp_path, no_memory, capsys):
+        out = tmp_path / "out"
+        code, text = run([command, "--variant-file", tiny_cfg] + extra
+                         + _required_flags(command, tmp_path, out))
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot allocate variant tiny: ")
+        assert not out.exists()

@@ -262,6 +262,8 @@ class TestSequenceIo:
         except FormatError:
             return
         assert len(seq.frames) == len(seq.gt) >= 2
+        for box in seq.gt:
+            assert np.isfinite(box).all() and box[2] > 0 and box[3] > 0, box
 
 
 class TestIouCorner:
@@ -355,6 +357,28 @@ class TestTrainLoop:
             hn.train_loop(model, [], steps=1,
                           fixed_sample=(bad, search, (0.5, 0.5, 0.25, 0.25)))
 
+    def test_non_finite_pretraining_loss_names_the_step(self, monkeypatch):
+        pre = bb.MimPretrainer(tiny_model())
+        real_loss, real_backward, calls = pre.loss, ad.backward, []
+
+        def loss(image, mask_ratio, rng):
+            calls.append("loss")
+            out = real_loss(image, mask_ratio, rng)
+            return out * np.nan if calls.count("loss") == 3 else out
+
+        def backward(loss):
+            calls.append("backward")
+            real_backward(loss)
+
+        monkeypatch.setattr(pre, "loss", loss)
+        monkeypatch.setattr(ad, "backward", backward)
+        seqs = [hn.gen_sequence(27, length=3, frame_size=96)]
+        with pytest.raises(NumericError, match=r"^non-finite loss at step 2$"):
+            hn.pretrain_loop(pre, seqs, steps=5, lr=1e-4, mask_ratio=0.75,
+                             seed=0)
+        # raised before the failing step's backward
+        assert calls == ["loss", "backward"] * 2 + ["loss"]
+
     def test_stop_fn_ends_training_early(self):
         model = tiny_model()
         seqs = [hn.gen_sequence(26, length=3, frame_size=96)]
@@ -372,11 +396,36 @@ class TestTrainLoop:
         assert res.losses[-1] < res.losses[0]
 
 
-def _traced_peak(model, steps, sample):
-    """tracemalloc's peak over a train_loop of `steps` on fixed_sample."""
+def _train_case():
+    # small channels on a large image: activations dwarf parameters, so a
+    # step that keeps its predecessor's graph about doubles the peak, where
+    # the AdamW moments made in step 0 add about a sixth
+    model = bb.build_variant(tiny_urm_config(search=256, template=128,
+                                             pe="none"), seed=0)
+    rng = np.random.default_rng(0)
+    sample = (rng.random((3, 128, 128), dtype=np.float32),
+              rng.random((3, 256, 256), dtype=np.float32),
+              (0.5, 0.5, 0.25, 0.25))
+    return lambda steps: hn.train_loop(model, [], steps=steps,
+                                       fixed_sample=sample)
+
+
+def _pretrain_case():
+    # the decoder's attention maps over a 32x32 grid dwarf its parameters
+    # and moments in the same way
+    pre = bb.MimPretrainer(bb.build_variant(
+        tiny_urm_config(search=512, template=128, pe="none"), seed=0))
+    seqs = [hn.gen_sequence(16, length=2, frame_size=96)]
+    return lambda steps: hn.pretrain_loop(pre, seqs, steps=steps, lr=1e-4,
+                                          mask_ratio=0.75, seed=0)
+
+
+def _traced_peak(case, steps):
+    """tracemalloc's peak over `steps` steps of a fresh case's loop."""
+    run = case()
     tracemalloc.start()
     try:
-        hn.train_loop(model, [], steps=steps, fixed_sample=sample)
+        run(steps)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,21 +455,12 @@ class TestTrainingMemory:
         assert all(r() is None for r in refs)
         assert out.score.data.size and np.isfinite(loss.data).all()
 
-    def test_later_steps_hold_no_earlier_graph(self):
-        # small channels on a large image: activations dwarf parameters,
-        # so a step that keeps its predecessor's graph about doubles the
-        # peak, where the AdamW moments made in step 0 add about a sixth
-        def model():
-            return bb.build_variant(tiny_urm_config(search=256, template=128,
-                                                    pe="none"), seed=0)
-
-        rng = np.random.default_rng(0)
-        sample = (rng.random((3, 128, 128), dtype=np.float32),
-                  rng.random((3, 256, 256), dtype=np.float32),
-                  (0.5, 0.5, 0.25, 0.25))
-        _traced_peak(model(), 1, sample)  # first-call allocations
-        one = _traced_peak(model(), 1, sample)
-        three = _traced_peak(model(), 3, sample)
+    @pytest.mark.parametrize("case", [_train_case, _pretrain_case],
+                             ids=["train_loop", "pretrain_loop"])
+    def test_later_steps_hold_no_earlier_graph(self, case):
+        _traced_peak(case, 1)  # first-call allocations
+        one = _traced_peak(case, 1)
+        three = _traced_peak(case, 3)
         assert three <= 1.3 * one, (one, three)
 
 
