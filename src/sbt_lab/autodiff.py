@@ -720,17 +720,8 @@ def index(a: Tensor, sl) -> Tensor:
     if not _tracked(a):
         return Tensor(data)
 
-    # the gradient takes a's memory layout, as np.zeros_like(a.data) gives
-    # it; an array neither C- nor F-ordered is kept to copy its layout from
-    x = a.data
-    order = "C" if x.flags.c_contiguous else "F" if x.flags.f_contiguous else None
-
-    def bwd(g, ra=_sink(a), shape=x.shape, dtype=x.dtype, order=order,
-            like=None if order else x, sl=sl):
-        if like is None:
-            gi = np.zeros(shape, dtype=dtype, order=order)
-        else:
-            gi = np.zeros_like(like)
+    def bwd(g, ra=_sink(a), shape=a.data.shape, dtype=a.data.dtype, sl=sl):
+        gi = np.zeros(shape, dtype=dtype)
         gi[sl] = g
         ra.accumulate_grad(gi)
 

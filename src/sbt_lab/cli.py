@@ -315,7 +315,7 @@ def cmd_selftest(args, out):
         zt = TokenMap(Tensor(rng.normal(size=(4, 8))), [(2, 2)], ["template"])
         xt = TokenMap(Tensor(rng.normal(size=(9, 8))), [(3, 3)], ["search"])
         tm = concat_maps([zt, xt])
-        same = urm.attention_update(tm, mask=segment_mask(tm, "same")).data
+        same = urm.attention_update(tm, segment_mask(tm, "same")).data
         zn, xn = tm.with_tokens(urm.ln1(tm.tokens)).split()
         ref = np.vstack([
             urm.attn(zn, zn).data + zt.tokens.data,
@@ -365,8 +365,8 @@ def cmd_gen_data(args, out):
 
 def cmd_train(args, out):
     _check_training_flags(args)
-    model = _build_model(args)
     seqs = hn.load_dataset(args.data)
+    model = _build_model(args)
 
     def log(step, parts):
         out.write(
@@ -388,9 +388,9 @@ def cmd_pretrain_mim(args, out):
         bb.MimPretrainer.masked_count(config, args.mask_ratio)
     except ConfigError as e:
         raise ConfigError(f"--mask-ratio: {e}") from None
+    seqs = hn.load_dataset(args.data)
     model = _build_model(args, config)
     pre = bb.MimPretrainer(model, seed=args.seed)
-    seqs = hn.load_dataset(args.data)
     hn.pretrain_loop(pre, seqs, steps=args.steps, lr=args.lr,
                      mask_ratio=args.mask_ratio, seed=args.seed,
                      log_every=args.log_every,
@@ -411,9 +411,10 @@ def _tracker_config(args):
 def cmd_track(args, out):
     _check_out_file(args.out)
     config = _tracker_config(args)
-    model = _build_model(args)
-    frames = _load_frames(args.video)
     box = _parse_box(args.init)
+    frames = _load_frames(args.video)
+    trk.check_box_in_frame(box, frames[0].shape)
+    model = _build_model(args)
     boxes = trk.track_frames(model, frames, box, config)
     text = "".join(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n"
                    for i, (x, y, w, h) in enumerate([box] + boxes))
@@ -429,8 +430,8 @@ def cmd_eval(args, out):
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     _check_out_file(args.out)
     config = _tracker_config(args)
-    model = _build_model(args)
     seqs = hn.load_dataset(args.data)
+    model = _build_model(args)
     metrics = hn.evaluate(model, seqs, config=config, jobs=args.jobs)
     report = hn.format_report(metrics)
     out.write(report)

@@ -278,8 +278,8 @@ class Attention:
                             (1, 0, 2))
 
     def __call__(self, q_src: TokenMap, kv_src: TokenMap,
-                 bias: Optional[Tensor] = None,
-                 mask: Optional[np.ndarray] = None) -> Tensor:
+                 bias=None) -> Tensor:
+        # bias: an additive (heads, Lq, Lk) score term, Tensor or array
         if q_src.channels != self.channels or kv_src.channels != self.channels:
             raise DimensionError(
                 f"token channels {q_src.channels}/{kv_src.channels} != "
@@ -293,8 +293,6 @@ class Attention:
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), self.scale)
         if bias is not None:
             scores = ad.add(scores, bias)
-        if mask is not None:
-            scores = ad.add(scores, mask)
         attn = ad.softmax_lastdim(scores)
         out = ad.matmul(attn, v)  # (H, Lq, d)
         out = ad.reshape(ad.transpose(out, (1, 0, 2)), (lq, self.channels))
@@ -378,21 +376,18 @@ class PreNormBlock:
         self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
                        int(channels * mlp_ratio), cond_pe=cond_pe)
 
-    def _attend(self, tm: TokenMap, bias: Optional[Tensor] = None,
-                mask: Optional[np.ndarray] = None) -> Tensor:
-        """Residual self-attention step; bias: the (heads, L, L) relative
-        bias of tm's layout, if any."""
+    def _attend(self, tm: TokenMap, bias=None) -> Tensor:
+        """Residual self-attention step; bias: the additive score term of
+        tm's layout (a relative bias or a segment_mask), if any."""
         normed = tm.with_tokens(self.ln1(tm.tokens))
-        return ad.add(tm.tokens, self.attn(normed, normed, bias=bias,
-                                           mask=mask))
+        return ad.add(tm.tokens, self.attn(normed, normed, bias=bias))
 
     def _mlp_update(self, tm: TokenMap, t: Tensor) -> TokenMap:
         return tm.with_tokens(ad.add(t, self.mlp(self.ln2(t),
                                                  layout=tm.layout())))
 
-    def self_block(self, tm: TokenMap, bias: Optional[Tensor] = None,
-                   mask: Optional[np.ndarray] = None) -> TokenMap:
-        return self._mlp_update(tm, self._attend(tm, bias, mask))
+    def self_block(self, tm: TokenMap, bias=None) -> TokenMap:
+        return self._mlp_update(tm, self._attend(tm, bias))
 
     def flops(self, lq: int, lkv: Optional[int] = None) -> int:
         """lq query tokens attending to lkv tokens (default: themselves)."""

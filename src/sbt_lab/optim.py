@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -9,75 +11,57 @@ from .autodiff import ParamStore
 from .errors import ContractError
 
 
-# values per leaf of clip_grad_norm's sum: a leaf's float64 squares stay
-# in cache
-_NORM_LEAF = 1 << 16
+# values per block of clip_grad_norm's and AdamW's passes: a block's
+# temporaries stay in cache, where whole-array passes stream every value
+# through memory
+_BLOCK = 1 << 16
 
 
-def _pairwise_leaves(n: int) -> list:
-    """The ranges, in order, at which numpy's pairwise summation of n
-    values splits down to _NORM_LEAF values or fewer."""
-    if n <= _NORM_LEAF:
-        return [(0, n)]
-    half = n // 2
-    half -= half % 8  # numpy's split point
-    return _pairwise_leaves(half) + [(half + lo, half + hi)
-                                     for lo, hi in _pairwise_leaves(n - half)]
-
-
-def _pairwise_total(leaf_sums, n: int) -> float:
-    """The sums of _pairwise_leaves(n), taken in order from the leaf_sums
-    iterator, added up as numpy's pairwise summation adds its halves."""
-    if n <= _NORM_LEAF:
-        return next(leaf_sums)
-    half = n // 2
-    half -= half % 8
-    left = _pairwise_total(leaf_sums, half)
-    return left + _pairwise_total(leaf_sums, n - half)
+def _blocks(sizes) -> list:
+    """(k, lo, hi) for each _BLOCK-value block of the k-th of flat arrays
+    of these sizes, in order."""
+    return [(k, lo, min(lo + _BLOCK, n)) for k, n in enumerate(sizes)
+            for lo in range(0, n, _BLOCK)]
 
 
 def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     Returns the pre-clip norm. Parameters without a gradient are skipped.
-    Each gradient's squares are summed in float64 a cache-sized leaf at a
-    time over the fork-join, and the leaf sums are added up along numpy's
-    pairwise-summation tree: the norm is bitwise that of summing each
-    gradient's float64 squares with np.sum, at every width.
+    Each gradient's squares are summed in float64 a block at a time over
+    the fork-join, and the block sums are added exactly (math.fsum): the
+    norm does not depend on the width or on the order of the parameters.
     """
     grads = [p.grad for _, p in params.items() if p.grad is not None]
-    # each gradient's values in memory order, the order np.sum adds them
-    # in: a view, unless the gradient has no single memory order
+    # a view in memory order, unless the gradient has no single memory order
     flats = [np.ravel(g, order="K") for g in grads]
-    leaves = [(k, lo, hi) for k, flat in enumerate(flats)
-              for lo, hi in _pairwise_leaves(flat.size)]
+    blocks = _blocks(f.size for f in flats)
     values = sum(f.size for f in flats)
-    sums = np.empty(len(leaves))
+    sums = np.empty(len(blocks))
 
     def square_sums(start, stop):
-        buf = np.empty(_NORM_LEAF, dtype=np.float64)
+        buf = np.empty(_BLOCK, dtype=np.float64)
         for i in range(start, stop):
-            k, lo, hi = leaves[i]
+            k, lo, hi = blocks[i]
             sq = buf[:hi - lo]
             sq[...] = flats[k][lo:hi]
             sq *= sq
             sums[i] = sq.sum()
 
-    ad.fork(square_sums, len(leaves),
-            ad.fork_parts(len(leaves), 3 * values, *flats))
-    leaf_sums = iter(sums.tolist())
-    total = 0.0
-    for flat in flats:
-        total += _pairwise_total(leaf_sums, flat.size)
-    norm = float(np.sqrt(total))
+    ad.fork(square_sums, len(blocks),
+            ad.fork_parts(len(blocks), 3 * values, *flats))
+    try:
+        norm = math.sqrt(math.fsum(sums))
+    except OverflowError:  # finite float64 block sums past the float64 range
+        norm = math.inf
     if norm > max_norm:
         scale = max_norm / norm
-        # a gradient read through a copy is scaled whole, the rest by leaf
+        # a gradient read through a copy is scaled whole, the rest by block
         views = [np.may_share_memory(g, f) for g, f in zip(grads, flats)]
         for g, view in zip(grads, views):
             if not view:
                 g *= scale
-        blocks = [leaf for leaf in leaves if views[leaf[0]]]
+        blocks = [b for b in blocks if views[b[0]]]
 
         def rescale(start, stop):
             for k, lo, hi in blocks[start:stop]:
@@ -85,11 +69,6 @@ def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
 
         ad.fork(rescale, len(blocks), ad.fork_parts(len(blocks), values, *flats))
     return norm
-
-
-# values per block of AdamW's update: the block's temporaries stay in
-# cache, where whole-array passes stream every moment through memory
-_BLOCK = 1 << 16
 
 
 class AdamW:
@@ -140,13 +119,13 @@ class AdamW:
                 self._v[name] = np.zeros_like(p.data)
             flats.append((p.data.reshape(-1), p.grad.reshape(-1),
                           self._m[name].reshape(-1), self._v[name].reshape(-1)))
-        blocks = [(f, lo, min(lo + _BLOCK, f[0].size))
-                  for f in flats for lo in range(0, f[0].size, _BLOCK)]
+        blocks = _blocks(f[0].size for f in flats)
 
         def update(start, stop):
             # one block-sized work buffer per dtype, reused by every block
             bufs: dict = {}
-            for (flat_p, flat_g, flat_m, flat_v), lo, hi in blocks[start:stop]:
+            for k, lo, hi in blocks[start:stop]:
+                flat_p, flat_g, flat_m, flat_v = flats[k]
                 buf = bufs.get(flat_p.dtype)
                 if buf is None:
                     buf = bufs[flat_p.dtype] = np.empty(_BLOCK, flat_p.dtype)

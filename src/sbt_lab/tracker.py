@@ -140,7 +140,9 @@ def crop_template(frame: np.ndarray, box, out_size: int) -> np.ndarray:
     return patch
 
 
-def _check_box_in_frame(box, frame_shape):
+def check_box_in_frame(box, frame_shape):
+    """Refuse a box (x, y, w, h) that is not finite, has w or h <= 0, or
+    is not inside a frame of frame_shape (C, H, W)."""
     x, y, w, h = box
     _, fh, fw = frame_shape
     # every comparison with NaN is false, so the checks below would pass it
@@ -188,7 +190,7 @@ def init(frame: np.ndarray, box, model: Model,
          config: Optional[TrackerConfig] = None) -> TrackerState:
     """Start tracking from a frame and its target box (x, y, w, h)."""
     config = config or TrackerConfig()
-    _check_box_in_frame(box, frame.shape)
+    check_box_in_frame(box, frame.shape)
     box = tuple(float(v) for v in box)
     patch = crop_template(frame, box, model.cfg.template_size)
     return TrackerState(model, config, patch, box)

@@ -1,11 +1,14 @@
+import argparse
 import errno
 import hashlib
 import io
 import os
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sbt_lab import autodiff as ad
 from sbt_lab import backbone as bb
@@ -201,6 +204,14 @@ def build_seeds(monkeypatch):
     return seeds
 
 
+def assert_one_error_no_build(code, text, capsys, build_seeds):
+    """Exit 1 with one error line, before any model was built."""
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert build_seeds == []
+
+
 @pytest.mark.parametrize("command", ["variant-info", "flops"])
 @pytest.mark.parametrize("name", bb.VARIANT_NAMES)
 def test_shape_commands_build_unseeded(command, name, build_seeds):
@@ -348,18 +359,20 @@ class TestTrack:
                 assert parts[0] == str(i) and len(parts) == 5
         assert outs[0] == outs[1]
 
-    def test_out_of_frame_init_exit_one(self, tiny_cfg, dataset):
+    def test_out_of_frame_init_exit_one(self, tiny_cfg, dataset, build_seeds,
+                                        capsys):
         video = os.path.join(dataset, "seq_1")
-        code, _ = run(["track", "--video", video, "--init", "300,300,20,20",
-                       "--variant-file", tiny_cfg])
-        assert code == 1
+        code, text = run(["track", "--video", video, "--init",
+                          "300,300,20,20", "--variant-file", tiny_cfg])
+        assert_one_error_no_build(code, text, capsys, build_seeds)
 
-    def test_malformed_init_exit_one(self, tiny_cfg, dataset):
+    def test_malformed_init_exit_one(self, tiny_cfg, dataset, build_seeds,
+                                     capsys):
         video = os.path.join(dataset, "seq_1")
         for bad in ("30,30,20", "a,b,c,d", "nan,30,20,20"):
-            code, _ = run(["track", "--video", video, "--init", bad,
-                           "--variant-file", tiny_cfg])
-            assert code == 1
+            code, text = run(["track", "--video", video, "--init", bad,
+                              "--variant-file", tiny_cfg])
+            assert_one_error_no_build(code, text, capsys, build_seeds)
 
     @pytest.mark.parametrize("temporal", [False, True])
     def test_track_rows_match_eval_loop(self, tiny_cfg, dataset, temporal):
@@ -386,10 +399,21 @@ class TestTrack:
         assert code == 1 and text == ""
         assert err.count("\n") == 1 and "--window-weight" in err
 
-    def test_missing_video_exit_one(self, tiny_cfg, tmp_path):
-        code, _ = run(["track", "--video", str(tmp_path / "nope"), "--init",
-                       "1,1,2,2", "--variant-file", tiny_cfg])
-        assert code == 1
+    def test_missing_video_exit_one(self, tiny_cfg, tmp_path, build_seeds,
+                                    capsys):
+        code, text = run(["track", "--video", str(tmp_path / "nope"),
+                          "--init", "1,1,2,2", "--variant-file", tiny_cfg])
+        assert_one_error_no_build(code, text, capsys, build_seeds)
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain-mim", "eval"])
+def test_missing_data_exit_one(command, tiny_cfg, tmp_path, build_seeds,
+                               capsys):
+    out = ["--out", str(tmp_path / "x.sbtc")] if command != "eval" else []
+    code, text = run([command, "--data", str(tmp_path / "nope"),
+                      "--variant-file", tiny_cfg] + out)
+    assert_one_error_no_build(code, text, capsys, build_seeds)
+    assert not (tmp_path / "x.sbtc").exists()
 
 
 def _save_defective_checkpoint(path, model, drop=None, flatten=None):
@@ -629,14 +653,15 @@ def _no_work(*a, **k):
     raise AssertionError("model or data work ran before the flag check")
 
 
-def _required_flags(command, tmp_path, out):
-    """The flags each subcommand requires, naming tmp_path and out."""
+def _required_flags(command, data, out):
+    """The flags each subcommand requires, naming the dataset directory
+    data (track reads its seq_1) and out."""
     return {
         "gen-data": ["--out", str(out)],
-        "train": ["--data", str(tmp_path), "--out", str(out)],
-        "pretrain-mim": ["--data", str(tmp_path), "--out", str(out)],
-        "track": ["--video", str(tmp_path), "--init", "1,1,4,4"],
-        "eval": ["--data", str(tmp_path)],
+        "train": ["--data", str(data), "--out", str(out)],
+        "pretrain-mim": ["--data", str(data), "--out", str(out)],
+        "track": ["--video", os.path.join(data, "seq_1"), "--init", "1,1,4,4"],
+        "eval": ["--data", str(data)],
     }.get(command, [])
 
 
@@ -833,12 +858,130 @@ class TestAllocationFailure:
         ("track", ["--checkpoint", "m.sbtc"]),
     ])
     def test_failed_build_is_one_line(self, command, extra, tiny_cfg,
-                                      tmp_path, no_memory, capsys):
+                                      dataset, tmp_path, no_memory, capsys):
+        # the inputs are read before the build, so they are real ones
         out = tmp_path / "out"
         code, text = run([command, "--variant-file", tiny_cfg] + extra
-                         + _required_flags(command, tmp_path, out))
+                         + _required_flags(command, dataset, out))
         err = capsys.readouterr().err
         assert code == 1 and text == ""
         assert err.count("\n") == 1
         assert err.startswith("error: cannot allocate variant tiny: ")
         assert not out.exists()
+
+
+class _Stopped(Exception):
+    """Raised by TestArgvFuzz's spies in place of model or data work."""
+
+
+def _subcommand_flags():
+    """{subcommand: its flag actions}, read from the parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions
+                   if a.option_strings and a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+class TestArgvFuzz:
+    """Whole argument vectors of every subcommand, each with at most one
+    flag made malformed, negative, NaN, huge or missing, either fail with
+    one error line before any model or data work, or reach that work."""
+
+    SPIED = ((cli.bb, "build_variant"), (cli.hn, "load_dataset"),
+             (cli, "_load_frames"), (cli.hn, "gen_sequence"),
+             (cli, "_selftest_grad_checks"))
+    FLAGS = _subcommand_flags()
+
+    @staticmethod
+    def values(tmp_path, tiny_cfg):
+        """(valid values, invalid values) of every flag that takes one;
+        the inputs are read by the spied functions, so any path is valid
+        there."""
+        junk = tmp_path / "junk.cfg"
+        junk.write_text("name = junk\n[stage1]\nchannels = -3\n")
+        paths = [str(tmp_path), str(tmp_path / "missing"), ""]
+        bad_paths = [str(tmp_path), str(tmp_path / "missing" / "x"),
+                     str(junk), str(junk / "x"), ""]
+        huge = "9" * 30
+        return {
+            "--seed": (["0", "42", huge], ["-1", "1.5", "nan", "", "x"]),
+            "--sequences": (["1", huge], ["0", "-2", "nan", ""]),
+            "--length": (["2", huge], ["1", "-1", "1e3", ""]),
+            "--frame-size": ([str(hn.MIN_FRAME_SIZE), str(hn.MAX_FRAME_SIZE)],
+                             ["0", "-5", str(hn.MAX_FRAME_SIZE + 1), huge,
+                              "nan"]),
+            "--steps": (["0", "1", huge], ["-1", "1.5", ""]),
+            "--log-every": (["1", huge], ["0", "-1", "nan"]),
+            "--jobs": (["1", "2", huge], ["0", "-1", "x"]),
+            "--lr": (["1e-4", "1e300"],
+                     ["0", "-1", "nan", "inf", "-inf", "1e999", "x"]),
+            "--weight-decay": (["0", "1e300"],
+                               ["-1e-4", "nan", "inf", "1e999", "x"]),
+            "--mask-ratio": (["0.5", "0.75"],
+                             ["0", "1", "1.5", "-0.25", "nan", "inf",
+                              "0.999", "0.001", "x"]),
+            "--window-weight": (["0", "0.5", "1"],
+                                ["-0.25", "1.5", "nan", "inf", "-inf", "x"]),
+            "--variant": (list(bb.VARIANT_NAMES), ["nope", ""]),
+            "--variant-file": ([tiny_cfg], bad_paths),
+            "--difficulty": (list(hn.DIFFICULTIES), ["nope", ""]),
+            "--init": (["1,1,4,4", "1e-3,0,1e3,1e3"],
+                       ["30,30,20", "1,1,4,4,4", "a,b,c,d", "1,2,3,x",
+                        "1,,4,4", "0x1,1,4,4", "nan,1,2,2", "1e999,0,1,1",
+                        "1,1,0,0", "-1,-1,4,4", ""]),
+            "--data": (paths, []), "--video": (paths, []),
+            "--checkpoint": (paths, []),
+            "--out": ([str(tmp_path / "out")], bad_paths[:-1]),
+        }
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_one_error_line_or_work(self, tmp_path, tiny_cfg, monkeypatch,
+                                    capsys, data):
+        calls = []
+
+        def spy(*a, **k):
+            calls.append(a)
+            raise _Stopped
+
+        for mod, name in self.SPIED:
+            monkeypatch.setattr(mod, name, spy)
+        values = self.values(tmp_path, tiny_cfg)
+        command = data.draw(st.sampled_from(sorted(self.FLAGS)))
+        # a required flag is left out one time in 10
+        actions = [a for a in self.FLAGS[command]
+                   if data.draw(st.integers(0, 9).map(bool) if a.required
+                                else st.booleans())]
+        bad = data.draw(st.sampled_from([None] + actions))
+        argv = []
+        for action in actions:
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                argv.append([flag])
+                continue
+            valid, invalid = values[flag]
+            if action is bad:
+                # its value is missing, or is one of the invalid ones
+                pool = [None] + invalid
+            else:
+                pool = valid
+            value = data.draw(st.sampled_from(pool))
+            argv.append([flag] if value is None else [flag, value])
+        argv = [command] + sum(data.draw(st.permutations(argv)), [])
+        try:
+            code, text = run(argv)
+        except _Stopped:
+            assert len(calls) == 1
+            return
+        finally:
+            err = capsys.readouterr().err
+            # gen-data makes its --out before the first sequence
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        assert code == 1 and text == "" and calls == []
+        # argparse prints its usage lines before the error
+        lines = [ln for ln in err.splitlines()
+                 if not ln.startswith(("usage: ", " "))]
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -299,7 +299,7 @@ class TestUrm:
     @pytest.mark.parametrize("seed", range(10))
     def test_same_segment_mask_equals_sa(self, seed):
         urm, z, x, zx = self.setup_case(seed)
-        masked = urm.attention_update(zx, mask=segment_mask(zx, "same")).data
+        masked = urm.attention_update(zx, segment_mask(zx, "same")).data
         a = urm.attn
         zn = zx.with_tokens(urm.ln1(zx.tokens)).split()
         z_term = a(zn[0], zn[0]).data + z.tokens.data
@@ -309,7 +309,7 @@ class TestUrm:
     @pytest.mark.parametrize("seed", range(10))
     def test_cross_segment_mask_equals_ca(self, seed):
         urm, z, x, zx = self.setup_case(seed)
-        masked = urm.attention_update(zx, mask=segment_mask(zx, "cross")).data
+        masked = urm.attention_update(zx, segment_mask(zx, "cross")).data
         a = urm.attn
         zn = zx.with_tokens(urm.ln1(zx.tokens)).split()
         z_term = a(zn[0], zn[1]).data + z.tokens.data

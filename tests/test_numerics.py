@@ -608,6 +608,10 @@ GRAPH_RECORDS = [
      (), False),
     ("index", lambda a: ad.index(a, (slice(1, 3), slice(None))), [(4, 6)],
      (), False),
+    # an input neither C- nor F-ordered
+    ("index-strided",
+     lambda a: ad.index(ad.transpose(a, (1, 0, 2)), (slice(1, 3),)),
+     [(2, 4, 6)], (), False),
     ("take_rows", lambda a: ad.take_rows(a, np.array([3, 0, 3])), [(4, 6)],
      (), False),
     ("sum", lambda a: ad.sum_(a, axis=0), [(4, 6)], (), False),
@@ -640,6 +644,15 @@ class TestGraphRecords:
 
         assert [i for i, t in enumerate(inputs) if pinned(t.data)] == list(reads)
         assert pinned(out.data) == reads_out
+
+    def test_index_gradient_c_ordered(self):
+        x = Tensor(np.ones((2, 4, 6)).transpose(1, 0, 2), requires_grad=True)
+        assert not (x.data.flags.c_contiguous or x.data.flags.f_contiguous)
+        backward(ad.sum_(ad.index(x, (slice(1, 3),))))
+        assert x.grad.flags.c_contiguous
+        expect = np.zeros((4, 2, 6))
+        expect[1:3] = 1.0
+        np.testing.assert_array_equal(x.grad, expect)
 
     def test_unread_activation_freed_before_backward(self):
         # linear's output feeds only gelu, which keeps its derivative
@@ -889,7 +902,7 @@ class TestClipGradNorm:
             p.grad = (rng.normal(size=shape) * scale).astype(np.float32)
         return ps
 
-    # several pairwise leaves, a ragged one, a matrix and a scalar
+    # several 64K-value blocks, a ragged one, a matrix and a scalar
     SHAPES = [(3 * 65536 + 11,), (300, 7), (1,)]
 
     def test_returns_pre_clip_norm(self):
@@ -898,9 +911,27 @@ class TestClipGradNorm:
         norm = clip_grad_norm(ps, 1e-3)
         ref = clip_reference_norm(grads)
         assert abs(norm - ref) <= 1e-12 * ref
-        # the whole-array float64 sum, bit for bit
-        assert norm == float(np.sqrt(sum(
-            float(np.sum(g.astype(np.float64) ** 2)) for g in grads)))
+        # the exact total of each gradient's 64K-value block sums, bit for
+        # bit
+        blocks = [np.sum(g.reshape(-1)[lo:lo + 65536].astype(np.float64) ** 2)
+                  for g in grads for lo in range(0, g.size, 65536)]
+        assert norm == math.sqrt(math.fsum(blocks))
+
+    def test_norm_independent_of_parameter_order(self):
+        """Adding a store's parameters in reverse order changes no bit of
+        the norm, with gradients of mixed magnitudes."""
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            sizes = rng.integers(1, 3 * 65536, size=6)
+            grads = [(rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4)).astype(
+                np.float32) for n in sizes]
+            norms = []
+            for order in (grads, grads[::-1]):
+                ps = ParamStore()
+                for i, g in enumerate(order):
+                    ps.add(f"p{i}", np.zeros_like(g)).grad = g.copy()
+                norms.append(clip_grad_norm(ps, float("inf")))
+            assert norms[0] == norms[1]
 
     @pytest.mark.parametrize("max_norm_factor", [1.0, 2.0])
     def test_untouched_at_or_below_max_norm(self, max_norm_factor):
@@ -933,6 +964,16 @@ class TestClipGradNorm:
         assert clip_grad_norm(ps, 1e-3) == pytest.approx(
             clip_reference_norm(grads), rel=1e-12)
         assert ps["frozen"].grad is None
+
+    def test_norm_past_float64_range_is_inf(self):
+        """Two finite float64 squares whose total overflows: the norm is
+        inf, as float64 addition gives, and every gradient scales to 0."""
+        ps = ParamStore()
+        for name in ("a", "b"):
+            ps.add(name, np.zeros(1)).grad = np.array([1.2e154])
+        assert clip_grad_norm(ps, 1.0) == math.inf
+        for _, p in ps.items():
+            np.testing.assert_array_equal(p.grad, [0.0])
 
     def test_no_gradients_norm_zero(self):
         ps = ParamStore()
