@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, glorot_normal, trunc_normal
-from .errors import ConfigError, ContractError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from .head import ConvHead, MixMlpHead
 from .layers import (
     FrmLayer, LayerNormParams, LocalLayer, PatchEmbed, PatchMerge,
@@ -361,14 +361,12 @@ class Model:
                         self.store, f"inter{si + 1}", rng, st.channels,
                         nxt.channels))
 
-        self.bias_tables: Optional[list] = None
         if config.pe == "rel" and config.pattern == "urm":
             max_side = config.search_size // TOTAL_STRIDE
-            self.bias_tables = [
-                RelBiasTable(self.store, f"stage{len(stages)}.block{bi}.relbias",
-                             rng, max_side=max_side, heads=stages[-1].heads)
-                for bi in range(stages[-1].blocks)
-            ]
+            for bi, blk in enumerate(self.stage_blocks[-1]):
+                blk.rel_bias = RelBiasTable(
+                    self.store, f"stage{len(stages)}.block{bi}.relbias", rng,
+                    max_side=max_side, heads=stages[-1].heads)
 
         # the blocks are pre-norm, so the residual stream is unnormalized;
         # without this closing norm its magnitude grows with depth and
@@ -409,40 +407,15 @@ class Model:
             tm = inter(tm)
         return tm
 
-    def _joint_biases(self, layout: tuple, cache: Optional[dict]) -> list:
-        """Each joint block's relative bias for a token layout; None
-        entries without rel PE."""
-        if self.bias_tables is None:
-            return [None] * len(self.stage_blocks[-1])
-        if cache is None:
-            return [t.bias(layout, layout) for t in self.bias_tables]
-        if ad.grad_enabled():
-            raise ContractError("a relative-bias cache keeps no graph; "
-                                "use it under no_grad")
-        biases = cache.get(layout)
-        if biases is None:
-            biases = cache[layout] = [t.bias(layout, layout)
-                                      for t in self.bias_tables]
-        return biases
-
     def forward_joint(self, z: TokenMap, x: TokenMap,
-                      dyn: Optional[TokenMap] = None,
-                      bias_cache: Optional[dict] = None):
-        """Run the joint final stage; returns (f_z, f_x).
-
-        bias_cache is a dict that a caller running many no-graph passes
-        (a tracker session) keeps: each block's relative bias is gathered
-        once per token layout into it. It is valid while the parameters
-        do not change; AdamW updates them in place, so it is never keyed
-        on arrays.
-        """
+                      dyn: Optional[TokenMap] = None):
+        """Run the joint final stage; returns (f_z, f_x)."""
         blocks = self.stage_blocks[-1]
         if self.cfg.pattern == "urm":
             parts = [z] + ([dyn] if dyn is not None else []) + [x]
             zx = concat_maps(parts)
-            for blk, bias in zip(blocks, self._joint_biases(zx.layout(),
-                                                            bias_cache)):
-                zx = blk(zx, bias=bias)
+            for blk in blocks:
+                zx = blk(zx)
             zx = zx.with_tokens(self.final_ln(zx.tokens))
             return zx.segment("template"), zx.segment("search")
         zmap = z if dyn is None else concat_maps([z, dyn])
@@ -612,10 +585,9 @@ class MimPretrainer:
         pixels = image.data.copy()
         pixels.reshape(3, g, s, g, s)[:, masked // g, :, masked % g, :] = 0.5
         tm = model.encode_early(Tensor(pixels), "search")
-        biases = model._joint_biases(tm.layout(), None)
-        for blk, bias in zip(model.stage_blocks[-1], biases):
+        for blk in model.stage_blocks[-1]:
             # one image: every block acts as self-attention
-            tm = blk.self_block(tm, bias=bias)
+            tm = blk.self_block(tm)
         return model.final_ln(tm.tokens)
 
     def loss(self, image: Tensor, mask_ratio: float,

@@ -430,8 +430,10 @@ def cmd_eval(args, out):
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     _check_out_file(args.out)
     config = _tracker_config(args)
+    variant = _resolve_variant(args)
     seqs = hn.load_dataset(args.data)
-    model = _build_model(args)
+    hn.check_trackable(seqs, variant.search_size)
+    model = _build_model(args, variant)
     metrics = hn.evaluate(model, seqs, config=config, jobs=args.jobs)
     report = hn.format_report(metrics)
     out.write(report)

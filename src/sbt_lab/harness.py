@@ -481,6 +481,17 @@ def run_tracker_on_sequence(model: Model, seq: SyntheticSequence,
     return trk.track_frames(model, seq.frames, seq.gt[0], config)
 
 
+def check_trackable(sequences, search_size: int):
+    """Refuse a sequence whose frames are too small for search_size crops
+    or whose first box is not inside its first frame."""
+    for seq in sequences:
+        _, fh, fw = shape = seq.frames[0].shape
+        if min(fh, fw) < search_size // 4:
+            raise ConfigError(f"{seq.name}: frame size {fw}x{fh} too small "
+                              f"for search size {search_size}")
+        trk.check_box_in_frame(seq.gt[0], shape)
+
+
 def evaluate(model: Model, sequences,
              config: Optional[trk.TrackerConfig] = None,
              jobs: int = 1,
@@ -493,14 +504,8 @@ def evaluate(model: Model, sequences,
     len(sequences) workers; each worker's ops fork at an even share of
     the process's fork-join width. The metrics do not depend on jobs.
     """
-    for seq in sequences:
-        if model is not None and tracker_fn is None:
-            _, fh, fw = seq.frames[0].shape
-            if fh < model.cfg.search_size // 4 or fw < model.cfg.search_size // 4:
-                raise ConfigError(
-                    f"frame size {fw}x{fh} too small for search size "
-                    f"{model.cfg.search_size}"
-                )
+    if model is not None and tracker_fn is None:
+        check_trackable(sequences, model.cfg.search_size)
 
     def one(seq):
         if tracker_fn is not None:

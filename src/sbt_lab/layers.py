@@ -179,42 +179,50 @@ class RelBiasTable:
             f"{prefix}.table",
             trunc_normal(rng, (4 * self.span * self.span, heads)))
         self._idx_cache: dict = {}
+        self._kept: dict = {}  # layout -> ((table dtype, bytes), bias)
 
-    def _indices(self, q_layout: tuple, k_layout: tuple):
-        """(Lq, Lk) table rows, and the layout's scatter-matrix cache."""
-        key = (q_layout, k_layout)
-        cached = self._idx_cache.get(key)
+    def _indices(self, layout: tuple):
+        """(L, L) table rows, and the layout's scatter-matrix cache."""
+        cached = self._idx_cache.get(layout)
         if cached is not None:
             return cached
         span, ms = self.span, self.max_side
-
-        def coords(layout):
-            ys, xs, cls = [], [], []
-            for tag, (h, w) in layout:
-                yy, xx = np.mgrid[0:h, 0:w]
-                ys.append(yy.ravel())
-                xs.append(xx.ravel())
-                cls.append(np.full(h * w, _seg_class(tag)))
-            return np.concatenate(ys), np.concatenate(xs), np.concatenate(cls)
-
-        qy, qx, qc = coords(q_layout)
-        ky, kx, kc = coords(k_layout)
-        dy = np.clip(qy[:, None] - ky[None, :], -(ms - 1), ms - 1)
-        dx = np.clip(qx[:, None] - kx[None, :], -(ms - 1), ms - 1)
-        pair = 2 * qc[:, None] + kc[None, :]
+        ys, xs, cls = [], [], []
+        for tag, (h, w) in layout:
+            yy, xx = np.mgrid[0:h, 0:w]
+            ys.append(yy.ravel())
+            xs.append(xx.ravel())
+            cls.append(np.full(h * w, _seg_class(tag)))
+        y, x, c = np.concatenate(ys), np.concatenate(xs), np.concatenate(cls)
+        dy = np.clip(y[:, None] - y[None, :], -(ms - 1), ms - 1)
+        dx = np.clip(x[:, None] - x[None, :], -(ms - 1), ms - 1)
+        pair = 2 * c[:, None] + c[None, :]
         idx = (pair * span * span + (dy + ms - 1) * span + (dx + ms - 1)).astype(np.intp)
-        entry = self._idx_cache[key] = idx, {}
+        entry = self._idx_cache[layout] = idx, {}
         return entry
 
-    def bias(self, q_layout: tuple, k_layout: tuple) -> Tensor:
-        """(heads, Lq, Lk) additive pre-softmax bias."""
-        idx, scatter_cache = self._indices(q_layout, k_layout)
-        lq, lk = idx.shape
+    def bias(self, layout: tuple) -> Tensor:
+        """(heads, L, L) additive pre-softmax bias of a token layout.
+
+        Without a graph, each layout's bias is kept with the table's dtype
+        and bytes, copied before the gather, and returned again while the
+        table has the same dtype and bytes; an in-place optimizer step, a
+        checkpoint load or a cast changes them and forces a new gather.
+        With a graph it is always gathered and recorded."""
+        table, keep = self.table.data, not ad.grad_enabled()
+        stamp = (table.dtype, table.tobytes()) if keep else None
+        kept = self._kept.get(layout, (None, None))
+        if keep and kept[0] == stamp:
+            return kept[1]
+        idx, scatter_cache = self._indices(layout)
         rows = ad.take_rows(self.table, idx.reshape(-1), scatter_cache)
         # flattening the transposed rows copies them, so the bias is
         # C-ordered like the scores it is added to
         flat = ad.reshape(ad.transpose(rows, (1, 0)), (-1,))
-        return ad.reshape(flat, (self.heads, lq, lk))
+        out = ad.reshape(flat, (self.heads, len(idx), len(idx)))
+        if keep:
+            self._kept[layout] = stamp, out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +383,15 @@ class PreNormBlock:
         self.ln2 = LayerNormParams(store, f"{prefix}.ln2", channels)
         self.mlp = Mlp(store, f"{prefix}.mlp", rng, channels,
                        int(channels * mlp_ratio), cond_pe=cond_pe)
+        # a joint block's RelBiasTable, set by the model that builds it
+        self.rel_bias: Optional[RelBiasTable] = None
 
     def _attend(self, tm: TokenMap, bias=None) -> Tensor:
-        """Residual self-attention step; bias: the additive score term of
-        tm's layout (a relative bias or a segment_mask), if any."""
+        """Residual self-attention step. bias: an additive score term of
+        tm's layout (a segment_mask); without one, the block's relative
+        bias of that layout, if it has a table."""
+        if bias is None and self.rel_bias is not None:
+            bias = self.rel_bias.bias(tm.layout())
         normed = tm.with_tokens(self.ln1(tm.tokens))
         return ad.add(tm.tokens, self.attn(normed, normed, bias=bias))
 

@@ -166,9 +166,6 @@ class TrackerState:
         self.last_update_frame = 0
         grid = model.cfg.search_size // TOTAL_STRIDE
         self.hanning = hanning_2d(grid, grid)
-        # the joint blocks' relative biases, gathered at the first frame:
-        # the layout and the weights stay fixed for the session
-        self.bias_cache: dict = {}
         with ad.no_grad():
             self.template_feat = model.encode_early(Tensor(template_patch),
                                                     "template")
@@ -207,7 +204,7 @@ def track_step(state: TrackerState, frame: np.ndarray) -> tuple:
     with ad.no_grad():
         x_feat = model.encode_early(Tensor(patch), "search")
         _, f_x = model.forward_joint(state.template_feat, x_feat,
-                                     state.dyn_feat, state.bias_cache)
+                                     state.dyn_feat)
         out = model.head(f_x)
     score = out.score.data
     if not np.isfinite(score).all():

@@ -770,6 +770,43 @@ class TestOutAndScheduleChecks:
                           tiny_cfg])
         self.assert_one_line_error(code, text, capsys, f"{gt} line 3: ")
 
+    @pytest.mark.parametrize("command,defect", [
+        ("eval", "box-outside"), ("eval", "small-frames"),
+    ] + [(command, defect)
+         for command in ("track", "eval", "train", "pretrain-mim")
+         for defect in ("truncated-frame", "not-p6-frame")])
+    def test_bad_dataset_fails_before_build(self, command, defect, tiny_cfg,
+                                            dataset, tmp_path, monkeypatch,
+                                            capsys):
+        variant = ["--variant-file", tiny_cfg]
+        seq = os.path.join(dataset, "seq_1")
+        frame = os.path.join(seq, "frame_2.ppm")
+        if defect == "box-outside":
+            gt = os.path.join(seq, "gt.csv")
+            with open(gt) as fh:
+                lines = fh.read().splitlines()
+            lines[0] = "0,80,80,20,20"
+            with open(gt, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            needle = "not inside 96x96 frame"
+        elif defect == "small-frames":
+            # the default variant's 256 px search crop needs 64 px frames
+            dataset = str(tmp_path / "small")
+            assert run(["gen-data", "--out", dataset, "--sequences", "1",
+                        "--length", "2", "--frame-size", "32"])[0] == 0
+            variant, needle = [], "too small for search size 256"
+        else:
+            with open(frame, "rb") as fh:
+                raw = fh.read()
+            with open(frame, "wb") as fh:
+                fh.write(raw[:len(raw) // 2] if defect == "truncated-frame"
+                         else b"P3" + raw[2:])
+            needle = frame
+        monkeypatch.setattr(cli.bb, "build_variant", _no_work)
+        code, text = run([command] + variant + _required_flags(
+            command, dataset, tmp_path / "x.sbtc"))
+        self.assert_one_line_error(code, text, capsys, needle)
+
     def test_smallest_frame_size_generates(self, tmp_path):
         out = tmp_path / "data"
         code, _ = run(["gen-data", "--out", str(out), "--sequences", "1",

@@ -360,7 +360,7 @@ class TestRelBias:
         ps, rng = ParamStore(), np.random.default_rng(50)
         table = RelBiasTable(ps, "rb", rng, max_side=4, heads=2)
         layout = (("search", (3, 3)),)
-        b = table.bias(layout, layout).data  # (H, 9, 9)
+        b = table.bias(layout).data  # (H, 9, 9)
         coords = [(y, x) for y in range(3) for x in range(3)]
         for i, (qy, qx) in enumerate(coords):
             for j, (ky, kx) in enumerate(coords):
@@ -373,7 +373,7 @@ class TestRelBias:
         ps, rng = ParamStore(), np.random.default_rng(51)
         table = RelBiasTable(ps, "rb", rng, max_side=4, heads=1)
         layout = (("template", (2, 2)), ("search", (2, 2)))
-        b = table.bias(layout, layout).data
+        b = table.bias(layout).data
         # same zero offset, different pair type -> different entries (generic)
         assert b[0, 0, 0] != b[0, 0, 4] or b[0, 4, 4] != b[0, 4, 0]
 
@@ -382,8 +382,8 @@ class TestRelBias:
         table = RelBiasTable(ps, "rb", rng, max_side=4, heads=1)
         la = (("template", (2, 2)),)
         lb = (("dyn_template", (2, 2)),)
-        np.testing.assert_array_equal(table.bias(la, la).data,
-                                      table.bias(lb, lb).data)
+        np.testing.assert_array_equal(table.bias(la).data,
+                                      table.bias(lb).data)
 
 
     def test_scatter_matrix_built_only_for_a_backward(self):
@@ -391,13 +391,13 @@ class TestRelBias:
         table = RelBiasTable(ps, "rb", rng, max_side=4, heads=2)
         layout = (("template", (2, 2)), ("search", (3, 3)))
         with ad.no_grad():
-            table.bias(layout, layout)
+            table.bias(layout)
         ((idx, scatter_cache),) = table._idx_cache.values()
         assert scatter_cache == {}
         for _ in range(2):
             w = rng.normal(size=(2, 13, 13)).astype(np.float32)
             table.table.grad = None
-            ad.backward(ad.sum_(table.bias(layout, layout) * Tensor(w)))
+            ad.backward(ad.sum_(table.bias(layout) * Tensor(w)))
             expect = np.zeros_like(table.table.data)
             np.add.at(expect, idx.reshape(-1),
                       w.transpose(1, 2, 0).reshape(-1, 2))
@@ -461,7 +461,7 @@ class TestLayerGradients:
     def test_urm_with_bias_grad_check(self):
         ps, rng = ParamStore(), np.random.default_rng(9)
         urm = UrmLayer(ps, "urm", rng, 4, 2, mlp_ratio=2.0)
-        table = RelBiasTable(ps, "rb", rng, max_side=2, heads=2)
+        urm.rel_bias = RelBiasTable(ps, "rb", rng, max_side=2, heads=2)
         rng2 = np.random.default_rng(10)
         zd, xd = rng2.normal(size=(4, 4)), rng2.normal(size=(4, 4))
 
@@ -469,7 +469,7 @@ class TestLayerGradients:
             z = TokenMap(Tensor(zd.astype(p.dtype)), [(2, 2)], ["template"])
             x = TokenMap(Tensor(xd.astype(p.dtype)), [(2, 2)], ["search"])
             zx = concat_maps([z, x])
-            out = urm(zx, bias=table.bias(zx.layout(), zx.layout()))
+            out = urm(zx)
             return ad.sum_(out.tokens * out.tokens)
 
         assert ad.grad_check(f, ps, max_coords_per_param=8,

@@ -337,64 +337,85 @@ class TestTemplateUpdate:
 
 
 class TestRelBiasCache:
-    @pytest.mark.parametrize("temporal", [False, True])
-    def test_gathered_once_per_session(self, monkeypatch, temporal):
-        model = make_model()
+    """Each joint block's RelBiasTable keeps its no-graph bias per token
+    layout while the table's bytes stay the same."""
+
+    @staticmethod
+    def spy_gathers(monkeypatch, model):
+        tables = [blk.rel_bias.table for blk in model.stage_blocks[-1]]
         calls = []
-        bias = bb.RelBiasTable.bias
+        take_rows = ad.take_rows
 
-        def counting(table, q, k):
-            calls.append(q)
-            return bias(table, q, k)
+        def spy(a, idx, *args):
+            if any(a is t for t in tables):
+                calls.append(tables.index(a))
+            return take_rows(a, idx, *args)
 
-        monkeypatch.setattr(bb.RelBiasTable, "bias", counting)
-        frames = [textured_frame(s) for s in range(5)]
-        cfg = trk.TrackerConfig(temporal=temporal, update_threshold=0.0,
-                                update_interval=2)
-        state = trk.init(frames[0], (48, 48, 32, 32), model, cfg)
-        for f in frames[1:]:
-            box, conf = trk.track_step(state, f)
-            trk.maybe_update_template(state, f, conf)
+        monkeypatch.setattr(ad, "take_rows", spy)
+        return calls
+
+    @staticmethod
+    def joint(model, seed=0):
+        cfg, rng = model.cfg, np.random.default_rng(seed)
+        dtype = model.store.dtype
+        z = rng.random((3, cfg.template_size, cfg.template_size)).astype(dtype)
+        x = rng.random((3, cfg.search_size, cfg.search_size)).astype(dtype)
+        zf = model.encode_early(Tensor(z), "template")
+        xf = model.encode_early(Tensor(x), "search")
+        return model.forward_joint(zf, xf)[1].tokens
+
+    def test_gathered_once_per_block_and_layout(self, monkeypatch):
+        model = make_model()
+        calls = self.spy_gathers(monkeypatch, model)
         blocks = len(model.stage_blocks[-1])
-        assert len(calls) == blocks
-        # a new session gathers again
-        state = trk.init(frames[0], (48, 48, 32, 32), model, cfg)
-        trk.track_step(state, frames[1])
-        assert len(calls) == 2 * blocks
+        frames = [textured_frame(s) for s in range(5)]
+        for temporal in (False, False, True, True):
+            cfg = trk.TrackerConfig(temporal=temporal, update_threshold=0.0,
+                                    update_interval=2)
+            state = trk.init(frames[0], (48, 48, 32, 32), model, cfg)
+            for f in frames[1:]:
+                box, conf = trk.track_step(state, f)
+                trk.maybe_update_template(state, f, conf)
+            # one layout per kind of session
+            assert len(calls) == blocks * (1 + temporal)
+        assert sorted(calls) == sorted(2 * list(range(blocks)))
 
-    def test_cached_pass_equals_uncached(self):
+    @pytest.mark.parametrize("change", ["in-place", "cast"])
+    def test_changed_table_gathers_again(self, monkeypatch, change):
+        def apply(model):
+            if change == "in-place":
+                model.stage_blocks[-1][0].rel_bias.table.data += 0.5
+            else:
+                model.store.cast_(np.float64)
+
         model = make_model()
-        rng = np.random.default_rng(0)
-        cfg = model.cfg
-        z = Tensor(rng.random((3, cfg.template_size, cfg.template_size),
-                              dtype=np.float32))
-        x = Tensor(rng.random((3, cfg.search_size, cfg.search_size),
-                              dtype=np.float32))
-        cache = {}
+        calls = self.spy_gathers(monkeypatch, model)
         with ad.no_grad():
-            zf = model.encode_early(z, "template")
-            xf = model.encode_early(x, "search")
-            want = model.forward_joint(zf, xf)[1].tokens.data
-            for _ in range(2):
-                got = model.forward_joint(zf, xf, bias_cache=cache)[1]
-                assert got.tokens.data.tobytes() == want.tobytes()
-            # the cache belongs to the session: weights changed in place
-            # show only in a session that starts afterwards
-            for table in model.bias_tables:
-                table.table.data += 0.5
-            fresh = model.forward_joint(zf, xf, bias_cache={})[1].tokens.data
-            assert fresh.tobytes() == model.forward_joint(
-                zf, xf)[1].tokens.data.tobytes()
-            assert fresh.tobytes() != want.tobytes()
+            before = self.joint(model).data
+            apply(model)
+            got = self.joint(model).data
+            fresh = make_model()
+            apply(fresh)
+            want = self.joint(fresh).data
+        blocks = len(model.stage_blocks[-1])
+        assert calls == list(range(blocks)) + (
+            [0] if change == "in-place" else list(range(blocks)))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.tobytes() != before.tobytes()
 
-    def test_refused_while_recording(self):
+    def test_recorded_pass_after_kept_pass(self, monkeypatch):
+        def table_grads(model):
+            out = self.joint(model)
+            ad.backward(ad.sum_(out * out))
+            return [blk.rel_bias.table.grad
+                    for blk in model.stage_blocks[-1]]
+
         model = make_model()
-        cfg = model.cfg
-        z = model.encode_early(Tensor(np.zeros((3, cfg.template_size,
-                                                cfg.template_size),
-                                               dtype=np.float32)), "template")
-        x = model.encode_early(Tensor(np.zeros((3, cfg.search_size,
-                                                cfg.search_size),
-                                               dtype=np.float32)), "search")
-        with pytest.raises(ContractError, match="no_grad"):
-            model.forward_joint(z, x, bias_cache={})
+        with ad.no_grad():
+            self.joint(model)
+        calls = self.spy_gathers(monkeypatch, model)
+        got = table_grads(model)
+        assert calls == list(range(len(got)))
+        want = table_grads(make_model())
+        for g, w in zip(got, want):
+            assert g is not None and g.tobytes() == w.tobytes()
