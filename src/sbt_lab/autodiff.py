@@ -36,7 +36,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 
@@ -178,6 +177,7 @@ class _Task:
         except BaseException as e:  # re-raised on the forking thread
             self.error = e
         finally:
+            self.fn = None  # an idle helper keeps its last task, not its arrays
             self.done.release()
 
 
@@ -563,6 +563,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # scipy is imported where first used, so a CLI start pays none of it
+    from scipy.special import expit
     data = expit(a.data)
     if not _tracked(a):
         return Tensor(data)
@@ -656,6 +658,7 @@ def gelu(a: Tensor) -> Tensor:
     if x.dtype == np.float32:
         data, deriv = _gelu_f32(x, want_grad=tracked)
     else:
+        from scipy.special import erf
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         data = x * cdf
         if tracked:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from . import autodiff as ad
 from . import tracker as trk
@@ -70,6 +69,7 @@ def _smooth_noise(rng, h, w, cells=8):
     # muted, blurred color field: background cells must stay lower-contrast
     # and softer-edged than any target, or the frame is full of object-like
     # block boundaries that drown out the target's saliency
+    from scipy.ndimage import uniform_filter
     coarse = rng.uniform(0.3, 0.7, size=(3, cells, cells))
     reps = (h + cells - 1) // cells
     big = np.kron(coarse, np.ones((reps, reps)))[:, :h, :w]
@@ -307,6 +307,7 @@ def sample_pair(seq: SyntheticSequence, model_cfg, rng,
                 jitter: bool = True) -> tuple:
     """Crop a (template, search, gt-box) training triple from a sequence.
 
+    Un-jittered, the search patch is tracking's crop_search of the gt box.
     Returns (template patch, search patch, normalized center-form gt in
     search-patch coordinates).
     """
@@ -318,14 +319,13 @@ def sample_pair(seq: SyntheticSequence, model_cfg, rng,
 
     gx, gy, gw, gh = seq.gt[si]
     s_frame = seq.frames[si].astype(np.float32) / 255.0
-    side = trk.SEARCH_CONTEXT * np.sqrt(gw * gh)
-    cx, cy = gx + gw / 2, gy + gh / 2
+    scale, shift = 1.0, (0.0, 0.0)
     if jitter:
-        side *= 1.0 + float(rng.uniform(-SCALE_JITTER, SCALE_JITTER))
-        cx += float(rng.uniform(-1, 1)) * TRANSLATION_JITTER * side
-        cy += float(rng.uniform(-1, 1)) * TRANSLATION_JITTER * side
-    out = model_cfg.search_size
-    search, aff = trk.crop_region(s_frame, (cx, cy), side, out)
+        scale = 1.0 + float(rng.uniform(-SCALE_JITTER, SCALE_JITTER))
+        shift = tuple(float(rng.uniform(-1, 1)) * TRANSLATION_JITTER
+                      for _ in range(2))
+    search, aff = trk.crop_search(s_frame, seq.gt[si],
+                                  model_cfg.search_size, scale, shift)
     if jitter:
         b = 1.0 + float(rng.uniform(-BRIGHTNESS_JITTER, BRIGHTNESS_JITTER))
         search = np.clip(search * b, 0.0, 1.0)
@@ -489,7 +489,10 @@ def check_trackable(sequences, search_size: int):
         if min(fh, fw) < search_size // 4:
             raise ConfigError(f"{seq.name}: frame size {fw}x{fh} too small "
                               f"for search size {search_size}")
-        trk.check_box_in_frame(seq.gt[0], shape)
+        try:
+            trk.check_box_in_frame(seq.gt[0], shape)
+        except ContractError as e:
+            raise ContractError(f"{seq.name}: {e}") from None
 
 
 def evaluate(model: Model, sequences,

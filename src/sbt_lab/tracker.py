@@ -39,31 +39,12 @@ class TrackerConfig:
 
 @dataclass
 class Affine:
-    """Exact crop geometry.
+    """The crop square [left_x, left_x + side) x [left_y, left_y + side),
+    pixel i covering [i, i+1); normalized patch coordinates map through it."""
 
-    Frame coordinates are continuous with pixel i covering [i, i+1).
-    The crop covers the square [left_x, left_x + side) x [left_y, ...).
-    Patch array index p maps to frame array index scale * p + x0 (the
-    sampling grid), while normalized patch coordinates in [0,1] map
-    through the continuous square.
-    """
-
-    scale: float
-    x0: float
-    y0: float
-    out_size: int
-
-    @property
-    def side(self) -> float:
-        return self.scale * self.out_size
-
-    @property
-    def left_x(self) -> float:
-        return self.x0 - 0.5 * self.scale + 0.5
-
-    @property
-    def left_y(self) -> float:
-        return self.y0 - 0.5 * self.scale + 0.5
+    left_x: float
+    left_y: float
+    side: float
 
     def frame_from_norm(self, nx: float, ny: float) -> tuple:
         return self.left_x + nx * self.side, self.left_y + ny * self.side
@@ -96,7 +77,8 @@ def crop_region(frame: np.ndarray, center: tuple, side: float,
     """Square crop with bilinear resize and per-channel mean fill.
 
     frame is (3, H, W) float. Returns (patch (3, out, out) float32,
-    Affine). Sample points outside the frame take the channel mean.
+    Affine). Patch index p samples frame index x0 + p * side / out_size;
+    sample points outside the frame take the channel mean.
     """
     if side <= 0:
         raise ContractError(f"crop side must be positive, got {side}")
@@ -105,7 +87,7 @@ def crop_region(frame: np.ndarray, center: tuple, side: float,
     scale = side / out_size
     x0 = cx - side / 2.0 + 0.5 * scale - 0.5
     y0 = cy - side / 2.0 + 0.5 * scale - 0.5
-    aff = Affine(scale, x0, y0, out_size)
+    aff = Affine(x0 - 0.5 * scale + 0.5, y0 - 0.5 * scale + 0.5, side)
     xs = x0 + scale * np.arange(out_size)
     ys = y0 + scale * np.arange(out_size)
 
@@ -138,6 +120,16 @@ def crop_template(frame: np.ndarray, box, out_size: int) -> np.ndarray:
     side = TEMPLATE_CONTEXT * np.sqrt(w * h)
     patch, _ = crop_region(frame, (x + w / 2.0, y + h / 2.0), side, out_size)
     return patch
+
+
+def crop_search(frame: np.ndarray, box, out_size: int, scale: float = 1.0,
+                shift: tuple = (0.0, 0.0)) -> tuple:
+    """(patch, Affine) of the one search crop, SEARCH_CONTEXT around box
+    (x, y, w, h): its side times scale, its centre moved by shift * side."""
+    x, y, w, h = box
+    side = SEARCH_CONTEXT * np.sqrt(w * h) * scale
+    center = (x + w / 2.0 + shift[0] * side, y + h / 2.0 + shift[1] * side)
+    return crop_region(frame, center, side, out_size)
 
 
 def check_box_in_frame(box, frame_shape):
@@ -177,11 +169,6 @@ class TrackerState:
             self.dyn_feat = TokenMap(feat.tokens, list(feat.grids),
                                      ["dyn_template"])
 
-    @property
-    def prev_center(self) -> tuple:
-        x, y, w, h = self.prev_box
-        return x + w / 2.0, y + h / 2.0
-
 
 def init(frame: np.ndarray, box, model: Model,
          config: Optional[TrackerConfig] = None) -> TrackerState:
@@ -197,10 +184,8 @@ def track_step(state: TrackerState, frame: np.ndarray) -> tuple:
     """Locate the target in the next frame; returns (box, confidence)."""
     cfg = state.config
     model = state.model
-    px, py, pw, ph = state.prev_box
-    side = SEARCH_CONTEXT * np.sqrt(pw * ph)
-    patch, aff = crop_region(frame, state.prev_center, side,
-                             model.cfg.search_size)
+    _, _, pw, ph = state.prev_box
+    patch, aff = crop_search(frame, state.prev_box, model.cfg.search_size)
     with ad.no_grad():
         x_feat = model.encode_early(Tensor(patch), "search")
         _, f_x = model.forward_joint(state.template_feat, x_feat,
@@ -216,8 +201,8 @@ def track_step(state: TrackerState, frame: np.ndarray) -> tuple:
     if not all(np.isfinite(v) for v in (bx, by, bw, bh, conf)):
         raise NumericError("non-finite decoded box")
     fx, fy = aff.frame_from_norm(bx, by)
-    w_new = bw * side
-    h_new = bh * side
+    w_new = bw * aff.side
+    h_new = bh * aff.side
     alpha = cfg.size_smoothing
     w_new = alpha * w_new + (1.0 - alpha) * pw
     h_new = alpha * h_new + (1.0 - alpha) * ph

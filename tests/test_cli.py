@@ -4,6 +4,8 @@ import hashlib
 import io
 import os
 import shutil
+import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -555,7 +557,8 @@ class TestCheckpointCommands:
         self.assert_outputs_match(variant, temporal, dataset,
                                   seed42_checkpoint, build_seeds)
 
-    @pytest.mark.parametrize("defect", ["missing", "reshaped"])
+    @pytest.mark.parametrize("defect", ["missing", "reshaped", "truncated",
+                                        "crc"])
     @pytest.mark.parametrize("command", ["eval", "track"])
     def test_incomplete_checkpoint_exit_one(self, command, defect, tiny_cfg,
                                             dataset, tmp_path, monkeypatch,
@@ -564,10 +567,20 @@ class TestCheckpointCommands:
         params = list(model.store.items())
         # a matrix, so flattening changes its shape
         name = next(n for n, p in params[len(params) // 2:] if p.data.ndim > 1)
-        ckpt = str(tmp_path / "bad.sbtc")
+        ckpt = tmp_path / "bad.sbtc"
         _save_defective_checkpoint(
             ckpt, model, drop=name if defect == "missing" else None,
             flatten=name if defect == "reshaped" else None)
+        raw = bytearray(ckpt.read_bytes())
+        if defect == "truncated":
+            # the body's last 100 bytes go; re-signed, it reaches the parser
+            body = raw[:-104]
+            raw = body + struct.pack("<I", zlib.crc32(body))
+            name = "checkpoint truncated"
+        elif defect == "crc":
+            raw[len(raw) // 2] ^= 0xFF
+            name = "checkpoint CRC mismatch"
+        ckpt.write_bytes(raw)
         # the partly filled model must never reach tracking
         monkeypatch.setattr(cli.hn, "evaluate", _no_work)
         monkeypatch.setattr(cli.trk, "track_frames", _no_work)
@@ -575,7 +588,7 @@ class TestCheckpointCommands:
                    "30,30,20,20"] if command == "track"
                   else ["--data", dataset])
         code, text = run([command, "--variant-file", tiny_cfg,
-                          "--checkpoint", ckpt] + inputs)
+                          "--checkpoint", str(ckpt)] + inputs)
         err = capsys.readouterr().err
         assert code == 1 and text == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
@@ -788,7 +801,8 @@ class TestOutAndScheduleChecks:
             lines[0] = "0,80,80,20,20"
             with open(gt, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
-            needle = "not inside 96x96 frame"
+            needle = ("seq_1: box (80.0, 80.0, 20.0, 20.0) not inside "
+                      "96x96 frame")
         elif defect == "small-frames":
             # the default variant's 256 px search crop needs 64 px frames
             dataset = str(tmp_path / "small")

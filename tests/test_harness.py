@@ -319,6 +319,61 @@ class TestSamplePair:
         t, _, _ = hn.sample_pair(seq, cfg, np.random.default_rng(2))
         assert t.shape == (3, cfg.template_size, cfg.template_size)
 
+    # 48 is no power of two, so side / out * out need not give back side
+    @pytest.mark.parametrize("search", [64, 48])
+    def test_unjittered_pair_is_the_tracking_crop(self, search, monkeypatch):
+        model = bb.build_variant(tiny_urm_config(search=search))
+        seq = hn.gen_sequence(12, length=2, frame_size=128)
+        seq.frames[1], seq.gt[1] = seq.frames[0], seq.gt[0]
+        frame = seq.frames[0].astype(np.float32) / 255.0
+        state = trk.init(frame, seq.gt[0], model)
+        cuts = []
+        crop = trk.crop_region
+
+        def spy(*args):
+            cuts.append(crop(*args))
+            return cuts[-1]
+
+        monkeypatch.setattr(trk, "crop_region", spy)
+        _, pair_patch, gt = hn.sample_pair(seq, model.cfg,
+                                           np.random.default_rng(0),
+                                           jitter=False)
+        trk.track_step(state, frame)
+        # the pair's template crop, the pair's search crop, the tracker's
+        _, (pair_cut, aff), (track_cut, track_aff) = cuts
+        np.testing.assert_array_equal(pair_patch, pair_cut)
+        np.testing.assert_array_equal(pair_cut, track_cut)
+        assert aff == track_aff
+        x, y, w, h = seq.gt[0]
+        cx, cy = aff.frame_from_norm(*gt[:2])
+        assert abs(cx - (x + w / 2)) < 1e-9 and abs(cy - (y + h / 2)) < 1e-9
+        gw, gh = np.array(gt[2:]) * aff.side
+        assert abs(gw - w) < 1e-9 and abs(gh - h) < 1e-9
+
+    def test_jittered_pair_replays_through_crop_search(self):
+        seq = hn.gen_sequence(13, length=4, frame_size=128)
+        cfg = tiny_urm_config()
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            replay = np.random.default_rng()
+            replay.bit_generator.state = rng.bit_generator.state
+            _, search, gt = hn.sample_pair(seq, cfg, rng)
+            replay.integers(0, 4)
+            si = int(replay.integers(0, 4))
+            scale = 1.0 + float(replay.uniform(-hn.SCALE_JITTER,
+                                               hn.SCALE_JITTER))
+            shift = tuple(float(replay.uniform(-1, 1)) * hn.TRANSLATION_JITTER
+                          for _ in range(2))
+            b = 1.0 + float(replay.uniform(-hn.BRIGHTNESS_JITTER,
+                                           hn.BRIGHTNESS_JITTER))
+            frame = seq.frames[si].astype(np.float32) / 255.0
+            patch, aff = trk.crop_search(frame, seq.gt[si], cfg.search_size,
+                                         scale, shift)
+            np.testing.assert_array_equal(search, np.clip(patch * b, 0, 1))
+            x, y, w, h = seq.gt[si]
+            assert gt == (*aff.norm_from_frame(x + w / 2, y + h / 2),
+                          w / aff.side, h / aff.side)
+
 
 class TestTrainLoop:
     def test_zero_steps_is_noop(self):

@@ -6,6 +6,7 @@ splits.
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ class TestForkJoin:
         with pytest.raises(RuntimeError, match="part 2 failed"):
             ad.fork(fn, 4, 2)
         assert sorted(ran) == [0, 2]
+
+    @pytest.mark.parametrize("parts", [2, 4])
+    def test_finished_parts_keep_no_arrays(self, parts):
+        # an idle helper still holds its last task until the next one
+        # comes; the arrays a part reads must not live on with it
+        out = np.zeros(8)
+        ref = weakref.ref(out)
+
+        def fn(lo, hi, out=out):
+            out[lo:hi] += 1
+
+        ad.fork(fn, len(out), parts)
+        assert (out == 1).all()
+        del out, fn
+        assert ref() is None
 
     def test_width_restored_on_error(self):
         before = ad.threads()

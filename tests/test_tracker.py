@@ -47,13 +47,22 @@ class TestHanning:
         assert (np.diff(w[c:]) < 0).all()
 
 
+def sampling_grid(center, side, out):
+    """Frame array indices sampled by patch indices 0..out-1 per axis."""
+    scale = side / out
+    return tuple(c - side / 2 + 0.5 * scale - 0.5 + scale * np.arange(out)
+                 for c in center)
+
+
 class TestCropRegion:
     def test_identity_crop_is_pixel_exact(self):
         frame = textured_frame(0, 64)
         # side == out_size, crop square exactly [16, 48) on both axes
         patch, aff = trk.crop_region(frame, (32.0, 32.0), 32, 32)
         np.testing.assert_allclose(patch, frame[:, 16:48, 16:48], atol=1e-6)
-        assert aff.scale == 1.0
+        xs, ys = sampling_grid((32.0, 32.0), 32, 32)
+        np.testing.assert_array_equal(xs, np.arange(16.0, 48.0))
+        np.testing.assert_array_equal(ys, np.arange(16.0, 48.0))
         assert aff.left_x == 16.0 and aff.side == 32.0
 
     def test_patch_is_c_ordered(self):
@@ -99,10 +108,9 @@ class TestCropRegion:
     def test_matches_whole_frame_float64_formula(self, center, side, out):
         # the bilinear formula on the whole frame cast to float64
         frame = textured_frame(5, 100)[:, :80]
-        patch, aff = trk.crop_region(frame, center, side, out)
+        patch, _ = trk.crop_region(frame, center, side, out)
         _, fh, fw = frame.shape
-        xs = aff.x0 + aff.scale * np.arange(out)
-        ys = aff.y0 + aff.scale * np.arange(out)
+        xs, ys = sampling_grid(center, side, out)
 
         def axis_weights(coords, limit):
             lo = np.floor(coords).astype(np.int64)
