@@ -520,11 +520,7 @@ def pow_const(a: Tensor, p: float) -> Tensor:
         return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data, p=p):
-        if p == 2.0:
-            deriv = 2.0 * x
-        else:
-            deriv = p * x ** (p - 1.0)
-        ra.accumulate_grad(g * deriv)
+        ra.accumulate_grad(g * (p * x ** (p - 1.0)))
 
     return _recorded(data, (a,), bwd)
 

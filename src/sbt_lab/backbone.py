@@ -128,7 +128,8 @@ class VariantConfig:
             raise ConfigError(
                 f"input sizes must be multiples of the total stride from "
                 f"{TOTAL_STRIDE} to {MAX_INPUT_SIZE}")
-        for size in (self.template_size, self.search_size):
+        for size, role in ((self.template_size, "template"),
+                           (self.search_size, "search")):
             # later stages halve this grid, so it must be size / stride
             if self.grid_side(size, 0) * self.embed_stride != size:
                 raise ConfigError(
@@ -136,6 +137,12 @@ class VariantConfig:
                     f"{self.embed_padding} gives a {self.grid_side(size, 0)}-"
                     f"token grid side for input size {size}, not "
                     f"{size // self.embed_stride}")
+            for i, st in enumerate(self.stages):
+                side = self.grid_side(size, i)
+                if side % st.sr_ratio:
+                    raise ConfigError(
+                        f"stage {i + 1}: sr_ratio {st.sr_ratio} does not "
+                        f"divide its {side}x{side} {role} grid")
 
     def grid_side(self, image_side: int, stage: int) -> int:
         side = (image_side + 2 * self.embed_padding

@@ -61,7 +61,22 @@ def _add_variant_flags(p):
                    help="variant config file; overrides --variant")
 
 
+def _add_training_flags(p, steps, checkpoint_help):
+    _add_variant_flags(p)
+    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--out", required=True, help="checkpoint output path")
+    p.add_argument("--checkpoint", default=None, help=checkpoint_help)
+    p.add_argument("--steps", type=int, default=steps,
+                   help="optimizer steps (default: %(default)s)")
+    p.add_argument("--lr", type=float, default=1e-4,
+                   help="learning rate (default: %(default)s)")
+    p.add_argument("--log-every", type=int, default=50,
+                   help="steps between loss lines (default: %(default)s)")
+
+
 def _add_tracker_flags(p):
+    _add_variant_flags(p)
+    p.add_argument("--checkpoint", default=None, help="trained weights")
     p.add_argument("--window-weight", type=float,
                    default=trk.TrackerConfig.window_weight,
                    help="score-window mixing weight in [0, 1] "
@@ -119,6 +134,15 @@ def _writing(path):
         yield
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _emit(text, path, out):
+    """Write text to out, and also to path when one is given."""
+    out.write(text)
+    if path is not None:
+        with _writing(path), open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    return 0
 
 
 def _check_training_flags(args):
@@ -192,7 +216,8 @@ def cmd_flops(args, out):
     return 0
 
 
-def _selftest_grad_checks(seed, out):
+def _selftest_grad_checks(seed):
+    """(line, value, bound) of each layer's gradient check."""
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -220,14 +245,10 @@ def _selftest_grad_checks(seed, out):
 
     checks.append(("urm", f_urm, ps2))
 
-    worst = 0.0
-    for name, f, store in checks:
-        err = ad.grad_check(f, store, eps=1e-5, max_coords_per_param=3,
-                            rng=np.random.default_rng(seed))
-        worst = max(worst, err)
-        status = "pass" if err < 1e-5 else "FAIL"
-        out.write(f"selftest gradient {name} max_rel_err={err:.3e} {status}\n")
-    return worst
+    return [(f"gradient {name} max_rel_err",
+             ad.grad_check(f, store, eps=1e-5, max_coords_per_param=3,
+                           rng=np.random.default_rng(seed)), 1e-5)
+            for name, f, store in checks]
 
 
 def _selftest_float32_kernels(seed):
@@ -286,7 +307,7 @@ def _selftest_thread_split(seed):
 
 
 def cmd_selftest(args, out):
-    worst_grad = _selftest_grad_checks(args.seed, out)
+    checks = _selftest_grad_checks(args.seed)
 
     # attention cross-update against the dynamic-convolution decomposition
     rng = np.random.default_rng(args.seed + 1)
@@ -300,9 +321,7 @@ def cmd_selftest(args, out):
         _, xo = frm.attention_update(zt, xt)
         oracle = ca_dynamic_conv_oracle(zt, xt, frm)
         worst_ca = max(worst_ca, float(np.abs(xo.data - oracle).max()))
-    status = "pass" if worst_ca <= 1e-6 else "FAIL"
-    out.write(f"selftest dynamic-conv-equivalence max_abs_err="
-              f"{worst_ca:.3e} {status}\n")
+    checks.append(("dynamic-conv-equivalence max_abs_err", worst_ca, 1e-6))
 
     # joint attention restricted by segment masks matches the two-stream
     # attention terms
@@ -322,22 +341,24 @@ def cmd_selftest(args, out):
             urm.attn(xn, xn).data + xt.tokens.data,
         ])
         worst_urm = max(worst_urm, float(np.abs(same - ref).max()))
-    status = "pass" if worst_urm <= 1e-6 else "FAIL"
-    out.write(f"selftest joint-attention-reduction max_abs_err="
-              f"{worst_urm:.3e} {status}\n")
+    checks.append(("joint-attention-reduction max_abs_err", worst_urm, 1e-6))
+    checks.append(("float32-kernels max_abs_err",
+                   _selftest_float32_kernels(args.seed + 3), 1e-5))
 
-    worst_f32 = _selftest_float32_kernels(args.seed + 3)
-    status = "pass" if worst_f32 <= 1e-5 else "FAIL"
-    out.write(f"selftest float32-kernels max_abs_err={worst_f32:.3e} "
-              f"{status}\n")
+    passed = []
 
+    def report(line, ok):
+        passed.append(ok)
+        out.write(f"selftest {line} {'pass' if ok else 'FAIL'}\n")
+
+    for line, value, bound in checks:
+        # a NaN value fails
+        report(f"{line}={value:.3e}", value <= bound)
     compared, differing = _selftest_thread_split(args.seed)
-    status = "pass" if differing == 0 else "FAIL"
-    out.write(f"selftest thread-split variants={','.join(THREAD_SPLIT_VARIANTS)}"
-              f" arrays={compared} differing={differing} {status}\n")
+    report(f"thread-split variants={','.join(THREAD_SPLIT_VARIANTS)} "
+           f"arrays={compared} differing={differing}", differing == 0)
 
-    if (worst_grad >= 1e-5 or worst_ca > 1e-6 or worst_urm > 1e-6
-            or worst_f32 > 1e-5 or differing):
+    if not all(passed):
         raise NumericError("selftest failed")
     out.write("selftest all pass\n")
     return 0
@@ -416,13 +437,9 @@ def cmd_track(args, out):
     trk.check_box_in_frame(box, frames[0].shape)
     model = _build_model(args)
     boxes = trk.track_frames(model, frames, box, config)
-    text = "".join(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n"
-                   for i, (x, y, w, h) in enumerate([box] + boxes))
-    out.write(text)
-    if args.out is not None:
-        with _writing(args.out), open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    return 0
+    return _emit("".join(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n"
+                         for i, (x, y, w, h) in enumerate([box] + boxes)),
+                 args.out, out)
 
 
 def cmd_eval(args, out):
@@ -435,12 +452,7 @@ def cmd_eval(args, out):
     hn.check_trackable(seqs, variant.search_size)
     model = _build_model(args, variant)
     metrics = hn.evaluate(model, seqs, config=config, jobs=args.jobs)
-    report = hn.format_report(metrics)
-    out.write(report)
-    if args.out is not None:
-        with _writing(args.out), open(args.out, "w", encoding="ascii") as fh:
-            fh.write(report)
-    return 0
+    return _emit(hn.format_report(metrics), args.out, out)
 
 
 # ---------------------------------------------------------------------------
@@ -488,61 +500,37 @@ def build_parser():
     p = add("train", cmd_train, "train a variant on a sequence corpus",
             "draws the initial weights (unused with --checkpoint) and the "
             "training pairs with their jitter")
-    _add_variant_flags(p)
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--checkpoint", default=None,
-                   help="initial weights to fine-tune from")
-    p.add_argument("--steps", type=int, default=2000,
-                   help="optimizer steps (default: %(default)s)")
-    p.add_argument("--lr", type=float, default=1e-4,
-                   help="learning rate (default: %(default)s)")
+    _add_training_flags(p, 2000, "initial weights to fine-tune from")
     p.add_argument("--weight-decay", type=float, default=1e-4,
                    help="decoupled weight decay (default: %(default)s)")
-    p.add_argument("--log-every", type=int, default=50,
-                   help="steps between loss lines (default: %(default)s)")
 
     p = add("pretrain-mim", cmd_pretrain_mim,
             "masked-patch reconstruction pretraining",
             "draws the initial encoder weights (unused with --checkpoint), "
             "the decoder weights, the training crops and the masks")
-    _add_variant_flags(p)
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--checkpoint", default=None,
-                   help="initial weights to continue from")
-    p.add_argument("--steps", type=int, default=500,
-                   help="optimizer steps (default: %(default)s)")
+    _add_training_flags(p, 500, "initial weights to continue from")
     p.add_argument("--mask-ratio", type=float, default=0.75,
                    help="fraction of patches hidden (default: %(default)s)")
-    p.add_argument("--lr", type=float, default=1e-4,
-                   help="learning rate (default: %(default)s)")
-    p.add_argument("--log-every", type=int, default=50,
-                   help="steps between loss lines (default: %(default)s)")
 
     p = add("track", cmd_track, "track one target through a frame directory",
             weights)
-    _add_variant_flags(p)
+    _add_tracker_flags(p)
     p.add_argument("--video", required=True,
                    help="directory of frame_<n>.ppm files")
     p.add_argument("--init", required=True,
                    help="frame-1 target box as x,y,w,h pixels")
-    p.add_argument("--checkpoint", default=None, help="trained weights")
     p.add_argument("--out", default=None, help="box CSV output path")
-    _add_tracker_flags(p)
 
     p = add("eval", cmd_eval, "evaluate tracking metrics over a dataset",
             weights)
-    _add_variant_flags(p)
+    _add_tracker_flags(p)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--checkpoint", default=None, help="trained weights")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel sequences, >= 1; each pool worker's ops "
                         "split their work over an even share of the "
                         "SBT_LAB_THREADS threads, BLAS kept on one thread "
                         "(default: %(default)s)")
-    _add_tracker_flags(p)
 
     return parser
 

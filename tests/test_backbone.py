@@ -364,6 +364,12 @@ blocks = 2
 heads = 2
 """
 
+    # GOOD with the interleave layout and a stage-1 srg of ratio r
+    SR_OLD = GOOD[GOOD.index("inter_stage"):GOOD.index("channels")]
+    SR_NEW = (SR_OLD.replace("merge", "conv").replace("rel", "cond")
+              .replace("urm", "interleave")
+              .replace("mlp-local", "srg\nheads = 2\nsr_ratio = {r}"))
+
     def test_round_trip(self):
         cfg = bb.parse_variant_config(self.GOOD)
         assert cfg.name == "demo"
@@ -424,10 +430,22 @@ heads = 2
         # a grid of the right side, from a 2e9-wide kernel
         ("embed_kernel = 4",
          "embed_kernel = 2000000004\nembed_padding = 1000000000"),
+        # r = 3 cannot pool the 8x8 stage-1 template grid: the FLOP count
+        # would floor it and the first forward would fail
+        (SR_OLD, SR_NEW.format(r=3)),
     ])
     def test_ignored_or_crashing_values_rejected(self, old, new):
         with pytest.raises(ConfigError):
             bb.parse_variant_config(self.GOOD.replace(old, new))
+
+    def test_sr_ratio_must_divide_each_grid(self):
+        cfg = bb.parse_variant_config(
+            self.GOOD.replace(self.SR_OLD, self.SR_NEW.format(r=2)))
+        assert (cfg.pattern, cfg.stages[0].sr_ratio) == ("interleave", 2)
+        with pytest.raises(ConfigError, match="^stage 1: sr_ratio 3 does not "
+                           "divide its 8x8 template grid$"):
+            bb.parse_variant_config(
+                self.GOOD.replace(self.SR_OLD, self.SR_NEW.format(r=3)))
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)

@@ -105,6 +105,97 @@ def dataset(tmp_path):
     return d
 
 
+# every subcommand flag as the parser declared it before the training
+# and tracking commands took their shared flags from one helper each:
+# (subcommands, option strings, dest, type, default, required, help,
+# choices, nargs)
+PARSER_TABLE = [
+    (("variant-info", "flops"), ("--seed",), "seed", "int", 42, False,
+     "unused: nothing here draws random values (default: %(default)s)", None,
+     None),
+    (("variant-info", "flops", "train", "pretrain-mim", "track", "eval"),
+     ("--variant",), "variant", None, "supersbt-light", False,
+     "named model variant (default: %(default)s)",
+     ("hi-sbt", "plain-sbt", "supersbt-base", "supersbt-light",
+      "supersbt-small"),
+     None),
+    (("variant-info", "flops", "train", "pretrain-mim", "track", "eval"),
+     ("--variant-file",), "variant_file", None, None, False,
+     "variant config file; overrides --variant", None, None),
+    (("selftest",), ("--seed",), "seed", "int", 42, False,
+     "draws the random test inputs and weights (default: %(default)s)", None,
+     None),
+    (("gen-data",), ("--seed",), "seed", "int", 42, False,
+     "seed of the first sequence; sequence k uses seed + k (default: "
+     "%(default)s)",
+     None, None),
+    (("gen-data",), ("--out",), "out", None, None, True,
+     "output dataset directory", None, None),
+    (("gen-data",), ("--sequences",), "sequences", "int", 64, False,
+     "number of sequences (default: %(default)s)", None, None),
+    (("gen-data",), ("--length",), "length", "int", 60, False,
+     "frames per sequence (default: %(default)s)", None, None),
+    (("gen-data",), ("--frame-size",), "frame_size", "int", 256, False,
+     "square frame side in pixels (default: %(default)s)", None, None),
+    (("gen-data",), ("--difficulty",), "difficulty", None, "easy", False,
+     "sequence style (default: %(default)s)",
+     ("easy", "distractor", "scale-change"), None),
+    (("train",), ("--seed",), "seed", "int", 42, False,
+     "draws the initial weights (unused with --checkpoint) and the training "
+     "pairs with their jitter (default: %(default)s)",
+     None, None),
+    (("train", "pretrain-mim", "eval"), ("--data",), "data", None, None, True,
+     "dataset directory", None, None),
+    (("train", "pretrain-mim"), ("--out",), "out", None, None, True,
+     "checkpoint output path", None, None),
+    (("train",), ("--checkpoint",), "checkpoint", None, None, False,
+     "initial weights to fine-tune from", None, None),
+    (("train",), ("--steps",), "steps", "int", 2000, False,
+     "optimizer steps (default: %(default)s)", None, None),
+    (("train", "pretrain-mim"), ("--lr",), "lr", "float", 0.0001, False,
+     "learning rate (default: %(default)s)", None, None),
+    (("train",), ("--weight-decay",), "weight_decay", "float", 0.0001, False,
+     "decoupled weight decay (default: %(default)s)", None, None),
+    (("train", "pretrain-mim"), ("--log-every",), "log_every", "int", 50,
+     False, "steps between loss lines (default: %(default)s)", None, None),
+    (("pretrain-mim",), ("--seed",), "seed", "int", 42, False,
+     "draws the initial encoder weights (unused with --checkpoint), the "
+     "decoder weights, the training crops and the masks (default: "
+     "%(default)s)",
+     None, None),
+    (("pretrain-mim",), ("--checkpoint",), "checkpoint", None, None, False,
+     "initial weights to continue from", None, None),
+    (("pretrain-mim",), ("--steps",), "steps", "int", 500, False,
+     "optimizer steps (default: %(default)s)", None, None),
+    (("pretrain-mim",), ("--mask-ratio",), "mask_ratio", "float", 0.75, False,
+     "fraction of patches hidden (default: %(default)s)", None, None),
+    (("track", "eval"), ("--seed",), "seed", "int", 42, False,
+     "draws the initial weights; unused with --checkpoint, whose weights "
+     "replace them (default: %(default)s)",
+     None, None),
+    (("track",), ("--video",), "video", None, None, True,
+     "directory of frame_<n>.ppm files", None, None),
+    (("track",), ("--init",), "init", None, None, True,
+     "frame-1 target box as x,y,w,h pixels", None, None),
+    (("track", "eval"), ("--checkpoint",), "checkpoint", None, None, False,
+     "trained weights", None, None),
+    (("track",), ("--out",), "out", None, None, False, "box CSV output path",
+     None, None),
+    (("track", "eval"), ("--window-weight",), "window_weight", "float", 0.45,
+     False, "score-window mixing weight in [0, 1] (default: %(default)s)",
+     None, None),
+    (("track", "eval"), ("--temporal",), "temporal", None, False, False,
+     "enable dynamic-template updates", None, 0),
+    (("eval",), ("--out",), "out", None, None, False, "report output path",
+     None, None),
+    (("eval",), ("--jobs",), "jobs", "int", 1, False,
+     "parallel sequences, >= 1; each pool worker's ops split their work over "
+     "an even share of the SBT_LAB_THREADS threads, BLAS kept on one thread "
+     "(default: %(default)s)",
+     None, None),
+]
+
+
 class TestHelpAndErrors:
     SUBCOMMANDS = ("variant-info", "flops", "selftest", "gen-data", "train",
                    "pretrain-mim", "track", "eval")
@@ -137,6 +228,18 @@ class TestHelpAndErrors:
     def test_missing_required_flag_exit_one(self):
         code, _ = run(["gen-data"])
         assert code == 1
+
+    def test_flags_match_recorded_table(self):
+        expect = {(name, row[2]): row[1:2] + row[3:]
+                  for row in PARSER_TABLE for name in row[0]}
+        flags = _subcommand_flags()
+        got = {(name, a.dest): (tuple(a.option_strings),
+                                getattr(a.type, "__name__", None), a.default,
+                                a.required, a.help,
+                                a.choices and tuple(a.choices), a.nargs)
+               for name, actions in flags.items() for a in actions}
+        assert sum(map(len, flags.values())) == len(got)
+        assert got == expect
 
 
 class TestVariantInfo:
@@ -223,6 +326,17 @@ def test_shape_commands_build_unseeded(command, name, build_seeds):
     assert digest == SHAPE_OUTPUT_SHA256[command, name]
 
 
+@pytest.mark.parametrize("command", ["variant-info", "eval"])
+def test_indivisible_sr_ratio_exit_one(command, dataset, tmp_path,
+                                       build_seeds, capsys):
+    # r = 3 cannot pool the 8x8 stage-1 template grid
+    cfg = tmp_path / "sr3.cfg"
+    cfg.write_text(TINY_COND_CFG.replace("sr_ratio = 2", "sr_ratio = 3", 1))
+    inputs = ["--data", dataset] if command == "eval" else []
+    code, text = run([command, "--variant-file", str(cfg)] + inputs)
+    assert_one_error_no_build(code, text, capsys, build_seeds)
+
+
 class TestFlops:
     def test_breakdown_sums_to_total(self, tiny_cfg):
         code, text = run(["flops", "--variant-file", tiny_cfg])
@@ -241,6 +355,38 @@ class TestSelftest:
         assert code == 0
         assert "selftest all pass" in text
         assert "FAIL" not in text
+
+    # a patched result fails its own line and only that one; the real
+    # thread-split run is replaced by a passing one to save its builds
+    @pytest.mark.parametrize("name,result,line", [
+        ("_selftest_float32_kernels", 1.0,
+         "float32-kernels max_abs_err=1.000e+00"),
+        ("_selftest_float32_kernels", float("nan"),
+         "float32-kernels max_abs_err=nan"),
+        ("_selftest_thread_split", (6, 1),
+         "thread-split variants=supersbt-light,hi-sbt arrays=6 differing=1"),
+    ])
+    def test_failed_check_exit_two(self, name, result, line, monkeypatch,
+                                   capsys):
+        monkeypatch.setattr(cli, "_selftest_thread_split", lambda seed: (6, 0))
+        monkeypatch.setattr(cli, name, lambda seed: result)
+        code, text = run(["selftest"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: selftest failed\n"
+        lines = text.splitlines()
+        assert len(lines) == 6 and "selftest all pass" not in lines
+        assert [ln for ln in lines if not ln.endswith(" pass")] == \
+            [f"selftest {line} FAIL"]
+
+    def test_value_at_its_bound_passes(self, monkeypatch):
+        monkeypatch.setattr(cli.ad, "grad_check", lambda *a, **k: 1e-5)
+        monkeypatch.setattr(cli, "_selftest_float32_kernels",
+                            lambda seed: 1e-5)
+        monkeypatch.setattr(cli, "_selftest_thread_split", lambda seed: (6, 0))
+        code, text = run(["selftest"])
+        assert code == 0 and text.endswith("selftest all pass\n")
+        assert text.count("max_rel_err=1.000e-05 pass") == 2
+        assert "float32-kernels max_abs_err=1.000e-05 pass" in text
 
 
 class TestGenData:
@@ -559,7 +705,8 @@ class TestCheckpointCommands:
 
     @pytest.mark.parametrize("defect", ["missing", "reshaped", "truncated",
                                         "crc"])
-    @pytest.mark.parametrize("command", ["eval", "track"])
+    @pytest.mark.parametrize("command", ["eval", "track", "train",
+                                         "pretrain-mim"])
     def test_incomplete_checkpoint_exit_one(self, command, defect, tiny_cfg,
                                             dataset, tmp_path, monkeypatch,
                                             capsys):
@@ -581,18 +728,19 @@ class TestCheckpointCommands:
             raw[len(raw) // 2] ^= 0xFF
             name = "checkpoint CRC mismatch"
         ckpt.write_bytes(raw)
-        # the partly filled model must never reach tracking
-        monkeypatch.setattr(cli.hn, "evaluate", _no_work)
-        monkeypatch.setattr(cli.trk, "track_frames", _no_work)
-        inputs = (["--video", os.path.join(dataset, "seq_1"), "--init",
-                   "30,30,20,20"] if command == "track"
-                  else ["--data", dataset])
+        # the partly filled model must never reach tracking or training
+        for mod, fn in ((cli.hn, "evaluate"), (cli.trk, "track_frames"),
+                        (cli.hn, "train_loop"), (cli.hn, "pretrain_loop")):
+            monkeypatch.setattr(mod, fn, _no_work)
+        out = tmp_path / "out"
         code, text = run([command, "--variant-file", tiny_cfg,
-                          "--checkpoint", str(ckpt)] + inputs)
+                          "--checkpoint", str(ckpt)]
+                         + _required_flags(command, dataset, out))
         err = capsys.readouterr().err
         assert code == 1 and text == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert name in err
+        assert not out.exists()
 
     def test_temporal_eval_encodes_each_template_once(self, tiny_cfg,
                                                       dataset, monkeypatch):
