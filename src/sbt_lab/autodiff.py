@@ -1,7 +1,9 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float32 by default, float64 for gradient
-checking). Every differentiable op records a node in a dynamic graph;
+checking). An op records a node in a dynamic graph only when the
+calling thread records one (see ``no_grad``) and some input requires
+grad or is a recorded op's output; ``_recorded`` alone decides this.
 ``backward(loss)`` runs the graph in reverse topological order,
 accumulates gradients into leaf tensors and consumes the graph as it
 goes: each node drops its closure and parent links once it has run.
@@ -391,10 +393,8 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
-        if self._node is None:
-            self._grad = _accumulated(self._grad, g, self.data.dtype)
-        else:
-            self._node.accumulate_grad(g)
+        # only a leaf is a sink (see _sink): an op's output sinks into its node
+        self._grad = _accumulated(self._grad, g, self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -444,14 +444,17 @@ def _sink(t: Tensor):
 
 
 def _recorded(data: np.ndarray, parents, backward_fn) -> Tensor:
-    """data as the output of a recorded op on `parents`.
+    """data as the output of an op on `parents`, recorded with backward_fn
+    as its node's closure only when the calling thread records a graph and
+    some parent is tracked; this alone decides whether an op records.
 
     backward_fn(g) must reach its inputs through _sink and keep only the
     arrays it reads, never a Tensor.
     """
     out = Tensor(data)
-    out._node = _Node(data.dtype, tuple(p._node for p in parents
-                                        if p._node is not None), backward_fn)
+    if _tracked(*parents):
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        out._node = _Node(data.dtype, nodes, backward_fn)
     return out
 
 
@@ -473,16 +476,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         data = _ewise(np.add, a.data, b)
-        if not _tracked(a):
-            return Tensor(data)
 
         def bwd(g, ra=_sink(a), shape=a.data.shape):
             ra.accumulate_grad(_unbroadcast(g, shape))
 
         return _recorded(data, (a,), bwd)
     data = _ewise(np.add, a.data, b.data)
-    if not _tracked(a, b):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), rb=_sink(b), sa=a.data.shape, sb=b.data.shape):
         ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
@@ -496,16 +495,12 @@ def add(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         data = _ewise(np.multiply, a.data, b)
-        if not _tracked(a):
-            return Tensor(data)
 
         def bwd(g, ra=_sink(a), shape=a.data.shape, b=b):
             ra.accumulate_grad(_unbroadcast(_ewise(np.multiply, g, b), shape))
 
         return _recorded(data, (a,), bwd)
     data = a.data * b.data
-    if not _tracked(a, b):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), rb=_sink(b), x=a.data, y=b.data):
         ra.accumulate_grad(_unbroadcast(g * y, x.shape))
@@ -516,8 +511,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     data = a.data ** p
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data, p=p):
         ra.accumulate_grad(g * (p * x ** (p - 1.0)))
@@ -527,8 +520,6 @@ def pow_const(a: Tensor, p: float) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data):
         ra.accumulate_grad(g / x)
@@ -538,8 +529,6 @@ def log(a: Tensor) -> Tensor:
 
 def absolute(a: Tensor) -> Tensor:
     data = np.abs(a.data)
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data):
         ra.accumulate_grad(g * np.sign(x))
@@ -549,8 +538,6 @@ def absolute(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), x=a.data):
         ra.accumulate_grad(g * (x > 0))
@@ -562,8 +549,6 @@ def sigmoid(a: Tensor) -> Tensor:
     # scipy is imported where first used, so a CLI start pays none of it
     from scipy.special import expit
     data = expit(a.data)
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), data=data):
         ra.accumulate_grad(g * data * (1.0 - data))
@@ -650,7 +635,7 @@ def gelu(a: Tensor) -> Tensor:
     Phi(x) + x*pdf(x), so the backward is one multiply.
     """
     x = a.data
-    tracked = _tracked(a)
+    tracked, deriv = _tracked(a), None
     if x.dtype == np.float32:
         data, deriv = _gelu_f32(x, want_grad=tracked)
     else:
@@ -660,8 +645,6 @@ def gelu(a: Tensor) -> Tensor:
         if tracked:
             pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
             deriv = cdf + x * pdf
-    if not tracked:
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), deriv=deriv):
         ra.accumulate_grad(_ewise(np.multiply, g, deriv))
@@ -675,8 +658,6 @@ def gelu(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), shape=a.data.shape):
         ra.accumulate_grad(g.reshape(shape))
@@ -686,25 +667,19 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
-    if not _tracked(a):
-        return Tensor(data)
 
-    def bwd(g, ra=_sink(a), inv=tuple(inv)):
-        ra.accumulate_grad(np.transpose(g, inv))
+    def bwd(g, ra=_sink(a), axes=tuple(axes)):
+        ra.accumulate_grad(np.transpose(g, np.argsort(axes)))
 
     return _recorded(data, (a,), bwd)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=axis)
-    if not _tracked(*parts):
-        return Tensor(data)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
-    def bwd(g, sinks=tuple(_sink(p) for p in parts), offsets=offsets,
-            axis=axis):
+    def bwd(g, sinks=tuple(_sink(p) for p in parts),
+            sizes=tuple(p.data.shape[axis] for p in parts), axis=axis):
+        offsets = np.cumsum((0,) + sizes)
         for p, lo, hi in zip(sinks, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
@@ -716,8 +691,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def index(a: Tensor, sl) -> Tensor:
     """Basic slicing (tuple of slices/ints); gradient scatters back."""
     data = a.data[sl]
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), shape=a.data.shape, dtype=a.data.dtype, sl=sl):
         gi = np.zeros(shape, dtype=dtype)
@@ -748,8 +721,6 @@ def take_rows(a: Tensor, idx: np.ndarray,
     no backward runs.
     """
     data = a.data[idx]
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), shape=a.data.shape, dtype=a.data.dtype, idx=idx,
             cache=scatter_cache):
@@ -766,8 +737,6 @@ def take_rows(a: Tensor, idx: np.ndarray,
 
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), shape=a.data.shape, axis=axis, keepdims=keepdims):
         if axis is not None and not keepdims:
@@ -795,8 +764,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
     data = _batched_matmul(a.data, b.data)
-    if not _tracked(a, b):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), rb=_sink(b), x=a.data, y=b.data):
         ga = _batched_matmul(g, np.swapaxes(y, -1, -2))
@@ -856,8 +823,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         )
     data = _matmul_rows(x.data, w.data, None if b is None else b.data)
     parents = (x, w) if b is None else (x, w, b)
-    if not _tracked(*parents):
-        return Tensor(data)
 
     def bwd(g, rx=_sink(x), rw=_sink(w), rb=None if b is None else _sink(b),
             xd=x.data, wd=w.data):
@@ -889,8 +854,6 @@ def softmax_lastdim(a: Tensor) -> Tensor:
         return out
 
     data = _rows(rows, len(x), _row_parts(x), x.shape)
-    if not _tracked(a):
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), data=data):
         def rows(lo, hi, out):
@@ -936,8 +899,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         out += bd
 
     fork(rows, len(x), _row_parts(x, gd, bd))
-    if not tracked:
-        return Tensor(data)
 
     def bwd(g, ra=_sink(a), rgamma=_sink(gamma), rbeta=_sink(beta), gd=gd,
             xhat=xhat, inv_std=inv_std):
@@ -1004,8 +965,6 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
                         None if b is None else b.data).reshape(ho, wo, cout)
 
     parents = (t, w) if b is None else (t, w, b)
-    if not _tracked(*parents):
-        return Tensor(data)
 
     # an input that is no parameter and no op's output (the patch embed's
     # image) gets no gradient
@@ -1104,8 +1063,6 @@ def depthwise_conv3x3(tokens: Tensor, grid: tuple, w: Tensor,
     data = data.reshape(length, c)
 
     parents = (tokens, w) if b is None else (tokens, w, b)
-    if not _tracked(*parents):
-        return Tensor(data)
 
     def bwd(g, rt=_sink(tokens), rw=_sink(w), rb=None if b is None else _sink(b),
             pmap=pmap, taps=taps):
@@ -1260,6 +1217,9 @@ def grad_check(f: Callable[[ParamStore], Tensor], params: ParamStore,
             name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
             for name, p in params.items()
         }
+        for name, ana in analytic.items():
+            if not np.isfinite(ana).all():  # err > max_err is false for NaN
+                raise NumericError(f"non-finite analytic gradient for {name}")
         max_err = 0.0
         with no_grad():
             for name, p in params.items():

@@ -267,8 +267,9 @@ def _selftest_float32_kernels(seed):
         return [o.data for o in outs]
 
     with ad.no_grad():
-        return max(float(np.abs(a - b).max())
-                   for a, b in zip(run_all(np.float32), run_all(np.float64)))
+        # np.max, unlike max, keeps a NaN that is not first
+        return float(np.max([np.abs(a - b).max() for a, b in
+                             zip(run_all(np.float32), run_all(np.float64))]))
 
 
 def _thread_split_arrays(name, seed):
@@ -320,7 +321,7 @@ def cmd_selftest(args, out):
         xt = TokenMap(Tensor(rng.normal(size=(9, 8))), [(3, 3)], ["search"])
         _, xo = frm.attention_update(zt, xt)
         oracle = ca_dynamic_conv_oracle(zt, xt, frm)
-        worst_ca = max(worst_ca, float(np.abs(xo.data - oracle).max()))
+        worst_ca = np.maximum(worst_ca, np.abs(xo.data - oracle).max())
     checks.append(("dynamic-conv-equivalence max_abs_err", worst_ca, 1e-6))
 
     # joint attention restricted by segment masks matches the two-stream
@@ -340,7 +341,7 @@ def cmd_selftest(args, out):
             urm.attn(zn, zn).data + zt.tokens.data,
             urm.attn(xn, xn).data + xt.tokens.data,
         ])
-        worst_urm = max(worst_urm, float(np.abs(same - ref).max()))
+        worst_urm = np.maximum(worst_urm, np.abs(same - ref).max())
     checks.append(("joint-attention-reduction max_abs_err", worst_urm, 1e-6))
     checks.append(("float32-kernels max_abs_err",
                    _selftest_float32_kernels(args.seed + 3), 1e-5))

@@ -378,6 +378,23 @@ class TestSelftest:
         assert [ln for ln in lines if not ln.endswith(" pass")] == \
             [f"selftest {line} FAIL"]
 
+    def test_nan_after_first_sample_fails(self, monkeypatch, capsys):
+        # every sample NaN: max(0.0, nan) kept the 0.0 and the check passed
+        monkeypatch.setattr(cli, "_selftest_thread_split", lambda seed: (6, 0))
+        monkeypatch.setattr(cli, "ca_dynamic_conv_oracle",
+                            lambda z, x, frm: np.full_like(x.tokens.data, np.nan))
+        code, text = run(["selftest"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: selftest failed\n"
+        assert [ln for ln in text.splitlines() if not ln.endswith(" pass")] == \
+            ["selftest dynamic-conv-equivalence max_abs_err=nan FAIL"]
+
+    def test_float32_kernels_keep_a_nan_output(self, monkeypatch):
+        # softmax is the second of the compared outputs
+        monkeypatch.setattr(cli.ad, "softmax_lastdim",
+                            lambda t: ad.Tensor(np.full(t.shape, np.nan)))
+        assert np.isnan(cli._selftest_float32_kernels(0))
+
     def test_value_at_its_bound_passes(self, monkeypatch):
         monkeypatch.setattr(cli.ad, "grad_check", lambda *a, **k: 1e-5)
         monkeypatch.setattr(cli, "_selftest_float32_kernels",

@@ -11,7 +11,7 @@ from sbt_lab.autodiff import (
     ParamStore, Tensor, backward, conv2d, depthwise_conv3x3, gelu, grad_check,
     layer_norm, linear, matmul, softmax_lastdim, tensor,
 )
-from sbt_lab.errors import ContractError, DimensionError
+from sbt_lab.errors import ContractError, DimensionError, NumericError
 from sbt_lab.layers import Mlp
 from sbt_lab.optim import AdamW, clip_grad_norm
 
@@ -666,6 +666,25 @@ class TestGraphRecords:
         assert y._backward is not None
 
 
+class TestUntrackedRecordsNothing:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("name,fn,shapes", [r[:3] for r in GRAPH_RECORDS],
+                             ids=[r[0] for r in GRAPH_RECORDS])
+    def test_no_node_and_tracked_bits(self, name, fn, shapes, dtype):
+        rng = np.random.default_rng(31)
+        arrays = [(rng.normal(size=s) + 2.0).astype(dtype) for s in shapes]
+        taped = fn(*[_recorded_input(a) for a in arrays])
+        assert taped._node is not None
+        recorded = [_recorded_input(a) for a in arrays]
+        with ad.no_grad():
+            quiet = fn(*recorded)
+        plain = fn(*[Tensor(a) for a in arrays])
+        for out in (plain, quiet):
+            assert out._node is None
+            assert (out.data.dtype, out.data.shape, out.data.tobytes()) == (
+                taped.data.dtype, taped.data.shape, taped.data.tobytes())
+
+
 class TestBackwardConsumesGraph:
     def test_activations_freed_while_loss_and_outputs_held(self):
         w = t64(np.full((3, 3), 0.1), rg=True)
@@ -778,6 +797,20 @@ class TestGradCheck:
             return ad.sum_(ad.sigmoid(h))
 
         assert grad_check(f, ps) < 1e-5
+
+    def test_nan_analytic_gradient_raises(self):
+        # d/dx sqrt(|x|) * 0 at x = 0 is inf * 0: NaN, and err > max_err
+        # is false for NaN
+        ps = ParamStore()
+        ps.add("x", np.array([0.0, 1.0]))
+
+        def f(p):
+            return ad.sum_(ad.mul(ad.pow_const(ad.absolute(p["x"]), 0.5), 0.0))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError,
+                               match="non-finite analytic gradient for x"):
+                grad_check(f, ps)
 
 
 class TestAdamW:
