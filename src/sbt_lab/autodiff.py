@@ -254,15 +254,6 @@ def fork_parts(n: int, work: float, *arrays) -> int:
     return min(w, n, int(work // _MIN_PART))
 
 
-def _gemm_parts(m: int, n: int, k: int, *arrays) -> int:
-    """Parts to split the m rows of an (m, k) x (k, n) product into, each
-    kept on the BLAS kernel path of the whole product."""
-    p = fork_parts(m, m * n, *arrays)
-    while p > 1 and (m // p) * n * k <= _BLAS_SMALL:
-        p -= 1
-    return p
-
-
 def _rows(kernel, n: int, parts: int, shape) -> np.ndarray:
     """kernel(lo, hi, out) over rows [0, n) along axis 0.
 
@@ -789,30 +780,21 @@ def _batched_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _matmul_rows(x: np.ndarray, w: np.ndarray,
                  bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """x @ w (+ bias) for 2-D w; a 2-D x splits over its rows."""
+    """x @ w (+ bias) for 2-D w; a 2-D x splits over its rows, each part
+    kept on the BLAS kernel path of the whole product. A transposed x
+    splits with no copy: numpy hands BLAS each row block transposed."""
     def kernel(lo, hi, out):
         out = np.matmul(x[lo:hi], w, out=out)
         if bias is not None:
             out += bias
         return out
 
-    p = 1
-    if x.ndim == 2:
-        p = _gemm_parts(len(x), w.shape[1], w.shape[0], x, w,
-                        *(() if bias is None else (bias,)))
-    return _rows(kernel, len(x), p, (len(x), w.shape[1]))
-
-
-def _matmul_cols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for 2-D x and y, split over the columns of y."""
-    cols = y.shape[1]
-    p = _gemm_parts(cols, x.shape[0], x.shape[1], x, y)
-    if p == 1:
-        return x @ y
-    out = np.empty((x.shape[0], cols), dtype=np.float32)
-    fork(lambda lo, hi: np.matmul(x, y[:, lo:hi], out=out[:, lo:hi]),
-         cols, p)
-    return out
+    m, n = len(x), w.shape[1]
+    arrays = (x, w) if bias is None else (x, w, bias)
+    p = fork_parts(m, m * n, *arrays) if x.ndim == 2 else 1
+    while p > 1 and (m // p) * n * len(w) <= _BLAS_SMALL:
+        p -= 1
+    return _rows(kernel, m, p, (m, n))
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -829,7 +811,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         rx.accumulate_grad(_matmul_rows(g, wd.T))
         x2 = xd.reshape(-1, xd.shape[-1])
         gd = g.reshape(-1, g.shape[-1])
-        rw.accumulate_grad(_matmul_cols(x2.T, gd))
+        rw.accumulate_grad(_matmul_rows(x2.T, gd))
         if rb is not None:
             rb.accumulate_grad(gd.sum(axis=0))
 
@@ -974,7 +956,7 @@ def conv2d(t: Tensor, w: Tensor, b: Optional[Tensor], stride: int = 1,
         gm = g.reshape(ho * wo, cout)
         if rb is not None:
             rb.accumulate_grad(gm.sum(axis=0))
-        rw.accumulate_grad(_matmul_cols(gm.T, col).reshape(wd.shape))
+        rw.accumulate_grad(_matmul_rows(gm.T, col).reshape(wd.shape))
         if rt is None:
             return
         dpatch = _matmul_rows(gm, wd.reshape(cout, -1)).reshape(

@@ -497,24 +497,18 @@ def check_trackable(sequences, search_size: int):
 
 def evaluate(model: Model, sequences,
              config: Optional[trk.TrackerConfig] = None,
-             jobs: int = 1,
-             tracker_fn: Optional[Callable] = None) -> Metrics:
+             jobs: int = 1) -> Metrics:
     """Track every sequence and aggregate metrics.
 
-    tracker_fn(seq) -> predicted boxes for frames 2..N overrides the
-    model-driven tracker (used for baseline comparisons). jobs > 1
-    tracks sequences on a thread pool of at most jobs, max_threads() and
-    len(sequences) workers; each worker's ops fork at an even share of
-    the process's fork-join width. The metrics do not depend on jobs.
+    jobs > 1 tracks sequences on a thread pool of at most jobs,
+    max_threads() and len(sequences) workers; each worker's ops fork at
+    an even share of the process's fork-join width. The metrics do not
+    depend on jobs.
     """
-    if model is not None and tracker_fn is None:
-        check_trackable(sequences, model.cfg.search_size)
+    check_trackable(sequences, model.cfg.search_size)
 
     def one(seq):
-        if tracker_fn is not None:
-            boxes = tracker_fn(seq)
-        else:
-            boxes = run_tracker_on_sequence(model, seq, config)
+        boxes = run_tracker_on_sequence(model, seq, config)
         return sequence_metrics(seq.name, boxes, seq.gt[1:])
 
     workers = max(1, min(jobs, max_threads(), len(sequences)))

@@ -173,7 +173,9 @@ def main_training():
         _log(f"trained ao={trained_m.ao:.4f}")
         untrained_m = hn.evaluate(untrained, evals)
         _log(f"untrained ao={untrained_m.ao:.4f}")
-        static_m = hn.evaluate(None, evals, tracker_fn=hn.static_baseline)
+        static_m = hn.aggregate([
+            hn.sequence_metrics(s.name, hn.static_baseline(s), s.gt[1:])
+            for s in evals])
         _log(f"static ao={static_m.ao:.4f}")
         return {
             "losses": res.losses,

@@ -556,27 +556,41 @@ class TestMetrics:
 
     def test_static_baseline_below_oracle(self):
         seqs = [self.make_seq(seed, 8) for seed in (16, 17)]
-        oracle = hn.evaluate(None, seqs, tracker_fn=lambda s: s.gt[1:])
-        static = hn.evaluate(None, seqs, tracker_fn=hn.static_baseline)
+
+        def score(track):
+            return hn.aggregate([hn.sequence_metrics(s.name, track(s),
+                                                     s.gt[1:]) for s in seqs])
+
+        oracle = score(lambda s: s.gt[1:])
+        static = score(hn.static_baseline)
         assert oracle.ao == pytest.approx(1.0, abs=1e-9)
         assert static.ao < oracle.ao - 1e-3
         assert static.ao > 0.0  # frame-1 box still overlaps early frames
 
 
 class TestEvaluate:
-    def test_jobs_equivalence(self):
+    @staticmethod
+    def track_with(monkeypatch, fn):
+        """A model whose evaluate tracks each sequence with fn(seq)."""
+        monkeypatch.setattr(hn, "run_tracker_on_sequence",
+                            lambda model, seq, config: fn(seq))
+        return tiny_model()
+
+    def test_jobs_equivalence(self, monkeypatch):
+        model = self.track_with(monkeypatch, hn.static_baseline)
         seqs = [hn.gen_sequence(s, length=6, frame_size=96)
                 for s in (18, 19, 20)]
-        one = hn.evaluate(None, seqs, jobs=1, tracker_fn=hn.static_baseline)
-        many = hn.evaluate(None, seqs, jobs=3, tracker_fn=hn.static_baseline)
+        one = hn.evaluate(model, seqs, jobs=1)
+        many = hn.evaluate(model, seqs, jobs=3)
         assert one.ao == many.ao and one.auc == many.auc
         assert [m.name for m in one.per_sequence] == \
             [m.name for m in many.per_sequence]
 
-    def test_order_of_sequences_does_not_change_aggregate(self):
+    def test_order_of_sequences_does_not_change_aggregate(self, monkeypatch):
+        model = self.track_with(monkeypatch, hn.static_baseline)
         seqs = [hn.gen_sequence(s, length=5, frame_size=96) for s in (21, 22)]
-        fwd = hn.evaluate(None, seqs, tracker_fn=hn.static_baseline)
-        rev = hn.evaluate(None, seqs[::-1], tracker_fn=hn.static_baseline)
+        fwd = hn.evaluate(model, seqs)
+        rev = hn.evaluate(model, seqs[::-1])
         assert fwd.ao == pytest.approx(rev.ao)
 
     def test_model_tracker_runs(self):
@@ -627,9 +641,10 @@ class TestEvaluate:
         seqs = [hn.gen_sequence(s, length=3, frame_size=96)
                 for s in range(30, 30 + n_seqs)]
         seen = []
+        model = self.track_with(monkeypatch,
+                                self.recording_tracker(blas, seen))
         with ad.thread_width(8):
-            hn.evaluate(None, seqs, jobs=jobs,
-                        tracker_fn=self.recording_tracker(blas, seen))
+            hn.evaluate(model, seqs, jobs=jobs)
             assert ad.threads() == 8
         # each worker forks at its share, with BLAS on one thread
         assert seen == [(share, 1)] * n_seqs
@@ -642,9 +657,10 @@ class TestEvaluate:
         def boom(seq):
             raise RuntimeError("tracker failed")
 
+        model = self.track_with(monkeypatch, boom)
         with ad.thread_width(2):
             with pytest.raises(RuntimeError, match="tracker failed"):
-                hn.evaluate(None, seqs, jobs=2, tracker_fn=boom)
+                hn.evaluate(model, seqs, jobs=2)
             assert ad.threads() == 2
         assert blas() == 1
 
@@ -655,9 +671,10 @@ class TestEvaluate:
         seqs = [hn.gen_sequence(s, length=3, frame_size=96)
                 for s in range(35, 35 + n_seqs)]
         seen = []
+        model = self.track_with(monkeypatch,
+                                self.recording_tracker(blas, seen))
         with ad.thread_width(2):
-            hn.evaluate(None, seqs, jobs=jobs,
-                        tracker_fn=self.recording_tracker(blas, seen))
+            hn.evaluate(model, seqs, jobs=jobs)
         assert seen == [(2, 1)] * n_seqs
 
     @pytest.mark.parametrize("missing", ["library", "symbol"])

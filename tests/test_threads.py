@@ -198,6 +198,45 @@ class TestSplitOps:
                 assert a.shape == b.shape and a.strides == b.strides
                 assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("fn,shapes", [
+        (lambda x, w, b: ad.linear(x, w, b), [(640, 256), (256, 384), (384,)]),
+        # 128 output channels: the (128, 512) weight gradient reaches
+        # 2 * _MIN_PART
+        (lambda t, w, b: ad.conv2d(t, w, b, stride=2, padding=1),
+         [(64, 64, 32), (128, 32, 4, 4), (128,)]),
+    ], ids=["linear", "conv2d"])
+    def test_weight_gradient_splits_over_its_rows(self, fn, shapes,
+                                                  monkeypatch):
+        """The weight gradient is one product of the transposed input,
+        split over its rows at width >= 2 with the width-1 bits."""
+        parts, products = [], []
+        real_rows, real_matmul = ad._rows, ad._matmul_rows
+
+        def rows(kernel, n, p, shape):
+            parts.append(p)
+            return real_rows(kernel, n, p, shape)
+
+        def matmul_rows(x, w, bias=None):
+            out = real_matmul(x, w, bias)
+            products.append((x, parts[-1], out))
+            return out
+
+        monkeypatch.setattr(ad, "_rows", rows)
+        monkeypatch.setattr(ad, "_matmul_rows", matmul_rows)
+        rng = np.random.default_rng(7)
+        arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        results = {}
+        for width in (1, 2, 3):
+            products.clear()
+            with ad.thread_width(width):
+                _graph_outputs(fn, arrays)
+            (x, p, out), = [t for t in products if t[0].flags.f_contiguous
+                            and not t[0].flags.c_contiguous]
+            assert len(x) == shapes[1][0] and out.size == np.prod(shapes[1])
+            assert (p > 1) == (width > 1)
+            results[width] = out.tobytes()
+        assert results[2] == results[1] and results[3] == results[1]
+
     @pytest.mark.parametrize("name,fn,shapes", SPLIT_OPS,
                              ids=[n for n, _, _ in SPLIT_OPS])
     def test_float64_runs_unsplit(self, name, fn, shapes, fork_calls):
