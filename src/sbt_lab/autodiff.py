@@ -20,9 +20,11 @@ so an activation that no backward reads is freed with its tensor.
 
 The engine owns the process's threads. numpy's OpenBLAS is pinned to one
 thread, and the large float32 ops split their work over a fork-join of
-the calling thread plus persistent helper threads (see ``threads``).
-Every split leaves each output value's arithmetic unchanged, so results
-are bitwise the same at every width.
+the calling thread plus persistent helper threads (see ``threads``);
+so do ``harness.evaluate``'s sequences, as one fork. A range of a fork
+runs at max(1, width // parts) of its caller's width. Every split
+leaves each output value's arithmetic unchanged, so results are bitwise
+the same at every width.
 """
 
 from __future__ import annotations
@@ -164,27 +166,28 @@ def thread_width(n: int):
 
 
 class _Task:
-    __slots__ = ("fn", "lo", "hi", "claim", "done", "error")
+    __slots__ = ("fn", "lo", "hi", "width", "claim", "done", "error")
 
-    def __init__(self, fn, lo, hi):
-        self.fn, self.lo, self.hi = fn, lo, hi
+    def __init__(self, fn, lo, hi, width):
+        self.fn, self.lo, self.hi, self.width = fn, lo, hi, width
         self.claim = threading.Lock()  # held by whoever runs it
         self.done = threading.Lock()  # released when it has run
         self.done.acquire()
         self.error = None
 
     def run(self):
+        prev, _width.width = _width.width, self.width
         try:
             self.fn(self.lo, self.hi)
         except BaseException as e:  # re-raised on the forking thread
             self.error = e
         finally:
+            _width.width = prev
             self.fn = None  # an idle helper keeps its last task, not its arrays
             self.done.release()
 
 
 def _helper_loop():
-    _width.width = 1  # a part never forks again
     while True:
         task = _tasks.get()
         if task.claim.acquire(blocking=False):
@@ -203,29 +206,29 @@ def _start_helpers(n: int):
 
 
 def fork(fn: Callable[[int, int], None], n: int, parts: int):
-    """fn(lo, hi) over `parts` contiguous ranges covering range(n).
+    """fn(lo, hi) over `parts` contiguous ranges covering range(n), each
+    at width max(1, threads() // parts) on whichever thread runs it.
 
     The calling thread runs the first range, helpers the rest; a range
     no helper has started by then runs on the calling thread too, so
     several threads can fork at once without waiting on each other.
-    Returns once every range has run; re-raises a range's error.
+    Returns once every range has run; re-raises the earliest range's error.
     """
     if parts == 1:
         fn(0, n)
         return
+    width = max(1, threads() // parts)
     bounds = [n * i // parts for i in range(parts + 1)]
-    tasks = [_Task(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    _start_helpers(max(len(tasks), _process_width - 1))
-    for t in tasks:
+    tasks = [_Task(fn, lo, hi, width) for lo, hi in zip(bounds, bounds[1:])]
+    _start_helpers(max(parts - 1, _process_width - 1))
+    for t in tasks[1:]:
         _tasks.put(t)
-    try:
-        fn(bounds[0], bounds[1])
-    finally:
-        # every range writes into the caller's arrays: wait for all
-        for t in tasks:
-            if t.claim.acquire(blocking=False):
-                t.run()
-            t.done.acquire()
+    for t in tasks:
+        if t.claim.acquire(blocking=False):
+            t.run()
+    # every range writes into the caller's arrays: wait for all
+    for t in tasks:
+        t.done.acquire()
     for t in tasks:
         if t.error is not None:
             raise t.error

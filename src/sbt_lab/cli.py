@@ -373,6 +373,9 @@ def cmd_gen_data(args, out):
     if not hn.MIN_FRAME_SIZE <= args.frame_size <= hn.MAX_FRAME_SIZE:
         raise ConfigError(f"--frame-size must be from {hn.MIN_FRAME_SIZE} to "
                           f"{hn.MAX_FRAME_SIZE}, got {args.frame_size}")
+    if args.length * 3 * args.frame_size ** 2 > hn.MAX_SEQUENCE_BYTES:
+        raise ConfigError(f"--length {args.length} frames of {args.frame_size}"
+                          f" px exceed {hn.MAX_SEQUENCE_BYTES} bytes")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         for k in range(args.sequences):

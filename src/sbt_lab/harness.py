@@ -8,7 +8,6 @@ binary PPM frames plus a gt.csv.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 import re
@@ -38,8 +37,9 @@ _MARGIN = 2.0
 _MAX_WIDTH, _MAX_ASPECT, _MAX_DISTRACTOR = 0.22, 1.25, 1.2
 MIN_FRAME_SIZE = math.ceil(
     2 * _MARGIN / (1.0 - _MAX_DISTRACTOR * _MAX_WIDTH * _MAX_ASPECT))
-# a sequence is held whole: 60 frames of 2048 px take 755 MB as uint8
 MAX_FRAME_SIZE = 2048
+# a sequence is held whole, as length * 3 * frame_size**2 bytes of frames
+MAX_SEQUENCE_BYTES = 2 << 30
 
 BRIGHTNESS_JITTER = 0.10
 # translation must move the target several grid cells off center, or
@@ -130,6 +130,9 @@ def gen_sequence(seed: int, length: int = DEFAULT_LENGTH,
     if not MIN_FRAME_SIZE <= frame_size <= MAX_FRAME_SIZE:
         raise ConfigError(f"frame size must be from {MIN_FRAME_SIZE} to "
                           f"{MAX_FRAME_SIZE}, got {frame_size}")
+    if length * 3 * frame_size ** 2 > MAX_SEQUENCE_BYTES:
+        raise ConfigError(f"{length} frames of {frame_size} px exceed "
+                          f"{MAX_SEQUENCE_BYTES} bytes")
     rng = np.random.default_rng(seed)
     s = frame_size
     bg = _smooth_noise(rng, s, s)
@@ -500,30 +503,20 @@ def evaluate(model: Model, sequences,
              jobs: int = 1) -> Metrics:
     """Track every sequence and aggregate metrics.
 
-    jobs > 1 tracks sequences on a thread pool of at most jobs,
-    max_threads() and len(sequences) workers; each worker's ops fork at
-    an even share of the process's fork-join width. The metrics do not
-    depend on jobs.
+    The sequences are one autodiff.fork into at most jobs, max_threads()
+    and len(sequences) ranges, each at max(1, width // ranges) of the
+    calling thread's width. The metrics do not depend on jobs.
     """
     check_trackable(sequences, model.cfg.search_size)
+    per = [None] * len(sequences)
 
-    def one(seq):
-        boxes = run_tracker_on_sequence(model, seq, config)
-        return sequence_metrics(seq.name, boxes, seq.gt[1:])
+    def track(lo, hi):
+        for i, seq in enumerate(sequences[lo:hi], lo):
+            boxes = run_tracker_on_sequence(model, seq, config)
+            per[i] = sequence_metrics(seq.name, boxes, seq.gt[1:])
 
     workers = max(1, min(jobs, max_threads(), len(sequences)))
-    if workers == 1:
-        per = [one(s) for s in sequences]
-    else:
-        share = max(1, ad.threads() // workers)
-
-        def worker_one(seq):
-            with ad.thread_width(share):
-                return one(seq)
-
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers) as pool:
-            per = list(pool.map(worker_one, sequences))
+    ad.fork(track, len(sequences), workers)
     return aggregate(per)
 
 

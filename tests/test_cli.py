@@ -923,6 +923,9 @@ class TestOutAndScheduleChecks:
         ["--sequences", "0"],
         ["--sequences=-2"],
         ["--length", "1"],
+        # frames above harness.MAX_SEQUENCE_BYTES
+        ["--length", "40000"],
+        ["--length", "200", "--frame-size", str(hn.MAX_FRAME_SIZE)],
     ])
     def test_bad_gen_data_flag_fails_before_work(self, flags, tmp_path,
                                                  forbid_work, capsys):

@@ -1,5 +1,6 @@
 import os
 import re
+import threading
 import tracemalloc
 import weakref
 
@@ -80,6 +81,13 @@ class TestGenSequence:
                      60000):
             with pytest.raises(ConfigError, match="frame size"):
                 hn.gen_sequence(0, length=2, frame_size=size)
+
+    def test_sequence_above_byte_bound_rejected(self):
+        # one frame more than MAX_SEQUENCE_BYTES holds at the default size
+        s = hn.DEFAULT_FRAME_SIZE
+        length = hn.MAX_SEQUENCE_BYTES // (3 * s * s) + 1
+        with pytest.raises(ConfigError, match="bytes"):
+            hn.gen_sequence(0, length=length, frame_size=s)
 
     @pytest.mark.parametrize("difficulty", hn.DIFFICULTIES)
     def test_smallest_frame_size_generates(self, difficulty):
@@ -694,6 +702,26 @@ class TestEvaluate:
         got = hn.evaluate(model, seqs, jobs=2)
         assert got == want
         assert capsys.readouterr() == ("", "")
+
+
+class TestEvaluateThreads:
+    def test_engine_starts_every_thread(self, monkeypatch):
+        """eval's sequences run on the engine's fork-join: the only
+        threads evaluate may start are its helpers."""
+        monkeypatch.setenv("SBT_LAB_THREADS", "2")
+        started = []
+        real = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        model = tiny_model()
+        seqs = [hn.gen_sequence(s, length=3, frame_size=96) for s in (39, 40)]
+        with ad.thread_width(2):
+            hn.evaluate(model, seqs, jobs=2)
+        assert all(n.startswith("sbt-lab-fork-") for n in started), started
 
 
 class TestMaxThreads:

@@ -4,6 +4,7 @@ Every split op must give the same bits at every width; float64 never
 splits.
 """
 
+import queue
 import sys
 import threading
 import weakref
@@ -76,6 +77,34 @@ class TestForkJoin:
         assert (out == 1).all()
         del out, fn
         assert ref() is None
+
+    def test_helper_range_runs_at_its_share(self):
+        # both ranges wait for each other, so a helper runs the second
+        seen = {}
+        barrier = threading.Barrier(2, timeout=60)
+
+        def fn(lo, hi):
+            barrier.wait()
+            seen[lo] = (threading.current_thread().name, ad.threads())
+
+        with ad.thread_width(4):
+            ad.fork(fn, 2, 2)
+            assert ad.threads() == 4
+        assert seen[1][0].startswith("sbt-lab-fork-")
+        assert [w for _, w in seen.values()] == [2, 2]
+
+    def test_taken_back_range_runs_at_its_share(self, monkeypatch):
+        # no helper reads this queue: the caller runs both ranges
+        monkeypatch.setattr(ad, "_tasks", queue.SimpleQueue())
+        seen = []
+
+        def fn(lo, hi):
+            seen.append((threading.current_thread(), ad.threads()))
+
+        with ad.thread_width(4):
+            ad.fork(fn, 2, 2)
+            assert ad.threads() == 4
+        assert seen == [(threading.current_thread(), 2)] * 2
 
     def test_width_restored_on_error(self):
         before = ad.threads()
