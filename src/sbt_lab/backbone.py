@@ -23,7 +23,7 @@ from .autodiff import ParamStore, Tensor, glorot_normal, trunc_normal
 from .errors import ConfigError, DimensionError, FormatError
 from .head import ConvHead, MixMlpHead
 from .layers import (
-    FrmLayer, LayerNormParams, LocalLayer, PatchEmbed, PatchMerge,
+    FrmLayer, InterConv, LayerNormParams, LocalLayer, PatchEmbed, PatchMerge,
     RelBiasTable, TokenMap, UrmLayer, concat_maps,
 )
 
@@ -298,28 +298,6 @@ def sincos_2d(channels: int, h: int, w: int) -> np.ndarray:
 # model
 # ---------------------------------------------------------------------------
 
-class _InterConv:
-    """Stride-2 overlapping conv between stages (k=4, pad=1)."""
-
-    def __init__(self, store: ParamStore, prefix: str, rng, c_in: int,
-                 c_out: int):
-        self.c_in, self.c_out = c_in, c_out
-        self.w = store.add(f"{prefix}.w", glorot_normal(
-            rng, (c_out, c_in, 4, 4), c_in * 16, c_out))
-        self.b = store.add(f"{prefix}.b", np.zeros(c_out, dtype=np.float32))
-
-    def __call__(self, tm: TokenMap) -> TokenMap:
-        h, w = tm.grid
-        out = ad.conv2d(ad.reshape(tm.tokens, (h, w, tm.channels)), self.w,
-                        self.b, stride=2, padding=1)
-        ho, wo, c = out.data.shape
-        return TokenMap(ad.reshape(out, (ho * wo, c)), [(ho, wo)],
-                        list(tm.segments))
-
-    def flops(self, h: int, w: int) -> int:
-        return 2 * (h // 2) * (w // 2) * self.c_out * self.c_in * 16
-
-
 class Model:
     """A built variant: parameter store plus the derived layer graph.
 
@@ -364,7 +342,7 @@ class Model:
                         self.store, f"inter{si + 1}", rng, st.channels,
                         nxt.channels))
                 else:
-                    self.inter_ops.append(_InterConv(
+                    self.inter_ops.append(InterConv(
                         self.store, f"inter{si + 1}", rng, st.channels,
                         nxt.channels))
 
@@ -430,7 +408,7 @@ class Model:
         for i, blk in enumerate(blocks):
             mode = "SA" if i % 2 == 0 else "CA"
             zmap, xmap = blk(zmap, xmap, mode)
-        f_z = zmap if zmap.is_single() else zmap.segment("template")
+        f_z = zmap.segment("template")
         f_z = f_z.with_tokens(self.final_ln(f_z.tokens))
         return f_z, xmap.with_tokens(self.final_ln(xmap.tokens))
 

@@ -102,20 +102,6 @@ def _build_model(args, config=None):
     return model
 
 
-def _load_frames(path):
-    frames = []
-    i = 0
-    while True:
-        fp = os.path.join(path, f"frame_{i}.ppm")
-        if not os.path.exists(fp):
-            break
-        frames.append(hn.read_ppm(fp))
-        i += 1
-    if len(frames) < 2:
-        raise ConfigError(f"{path}: need at least 2 frame_<n>.ppm files")
-    return frames
-
-
 def _check_out_file(path):
     """Reject an --out file that cannot be created, before any work."""
     if path is None:
@@ -437,13 +423,11 @@ def cmd_track(args, out):
     _check_out_file(args.out)
     config = _tracker_config(args)
     box = _parse_box(args.init)
-    frames = _load_frames(args.video)
+    frames = hn.read_frames(args.video)
     trk.check_box_in_frame(box, frames[0].shape)
     model = _build_model(args)
     boxes = trk.track_frames(model, frames, box, config)
-    return _emit("".join(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n"
-                         for i, (x, y, w, h) in enumerate([box] + boxes)),
-                 args.out, out)
+    return _emit(hn.box_rows([box] + boxes), args.out, out)
 
 
 def cmd_eval(args, out):
@@ -531,9 +515,10 @@ def build_parser():
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sequences, >= 1; each pool worker's ops "
-                        "split their work over an even share of the "
-                        "SBT_LAB_THREADS threads, BLAS kept on one thread "
+                   help="parallel sequences, >= 1; they run as at most "
+                        "this many ranges and no more than the "
+                        "SBT_LAB_THREADS width, each range at its share of "
+                        "that width, BLAS kept on one thread "
                         "(default: %(default)s)")
 
     return parser

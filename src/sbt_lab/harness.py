@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tracker as trk
-from .autodiff import Tensor, max_threads
+from .autodiff import Tensor, max_threads  # max_threads is re-exported
 from .backbone import MimPretrainer, Model
 from .errors import ConfigError, ContractError, FormatError, NumericError
 from .loss import total_loss
@@ -247,8 +247,28 @@ def save_sequence(seq: SyntheticSequence, root, name: Optional[str] = None):
     for i, frame in enumerate(seq.frames):
         write_ppm(os.path.join(d, f"frame_{i}.ppm"), frame)
     with open(os.path.join(d, "gt.csv"), "w", encoding="ascii") as fh:
-        for i, (x, y, w, h) in enumerate(seq.gt):
-            fh.write(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n")
+        fh.write(box_rows(seq.gt))
+
+
+def box_rows(boxes) -> str:
+    """The gt.csv rows of corner-form boxes: i,x,y,w,h per line."""
+    return "".join(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f}\n"
+                   for i, (x, y, w, h) in enumerate(boxes))
+
+
+def read_frames(path, count: Optional[int] = None) -> list:
+    """A sequence directory's first count frame_<i>.ppm files, or, with
+    count None, every one before the first missing index; at least 2."""
+    frames = []
+    while count is None or len(frames) < count:
+        fp = os.path.join(path, f"frame_{len(frames)}.ppm")
+        if count is None and not os.path.exists(fp):
+            break
+        frames.append(read_ppm(fp))
+    if len(frames) < 2:
+        raise FormatError(f"{path}: a sequence needs at least 2 "
+                          f"frame_<n>.ppm files")
+    return frames
 
 
 def load_sequence(path) -> SyntheticSequence:
@@ -279,12 +299,8 @@ def load_sequence(path) -> SyntheticSequence:
             raise FormatError(f"{where}: box values must be finite, with w "
                               f"and h > 0: {ln!r}")
         gt.append(box)
-    frames = []
-    for i in range(len(gt)):
-        frames.append(read_ppm(os.path.join(path, f"frame_{i}.ppm")))
-    if len(frames) < 2:
-        raise FormatError(f"{path}: sequence needs at least 2 frames")
-    return SyntheticSequence(frames, gt, seed=-1, difficulty="easy",
+    return SyntheticSequence(read_frames(path, len(gt)), gt, seed=-1,
+                             difficulty="easy",
                              name=os.path.basename(os.path.normpath(path)))
 
 
@@ -503,9 +519,10 @@ def evaluate(model: Model, sequences,
              jobs: int = 1) -> Metrics:
     """Track every sequence and aggregate metrics.
 
-    The sequences are one autodiff.fork into at most jobs, max_threads()
-    and len(sequences) ranges, each at max(1, width // ranges) of the
-    calling thread's width. The metrics do not depend on jobs.
+    The sequences are one autodiff.fork into at most jobs, len(sequences)
+    and the calling thread's fork-join width (ad.threads()) ranges, each
+    at max(1, width // ranges) of that width. The metrics do not depend
+    on jobs.
     """
     check_trackable(sequences, model.cfg.search_size)
     per = [None] * len(sequences)
@@ -515,7 +532,7 @@ def evaluate(model: Model, sequences,
             boxes = run_tracker_on_sequence(model, seq, config)
             per[i] = sequence_metrics(seq.name, boxes, seq.gt[1:])
 
-    workers = max(1, min(jobs, max_threads(), len(sequences)))
+    workers = max(1, min(jobs, ad.threads(), len(sequences)))
     ad.fork(track, len(sequences), workers)
     return aggregate(per)
 

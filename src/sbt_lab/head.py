@@ -184,9 +184,7 @@ class MixMlpHead:
         return t
 
     def __call__(self, f_x: TokenMap) -> HeadOutput:
-        x = f_x if f_x.is_single() else f_x.segment("search")
-        if x.segments[0] != "search":
-            raise ContractError("mix-MLP head expects the search segment")
+        x = f_x.segment("search")
         h, w = x.grid
         if x.length != self.tokens:
             raise ContractError(

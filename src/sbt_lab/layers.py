@@ -66,30 +66,32 @@ class TokenMap:
             raise ContractError("grid is only defined for single-segment maps")
         return self.grids[0]
 
-    def segment_slices(self) -> list:
-        out, off = [], 0
-        for h, w in self.grids:
-            out.append(slice(off, off + h * w))
-            off += h * w
-        return out
+    def _image(self, i: int) -> "TokenMap":
+        """Segment i as a one-image map; a one-image map is itself."""
+        if self.is_single():
+            return self
+        off = sum(h * w for h, w in self.grids[:i])
+        (h, w), tag = self.grids[i], self.segments[i]
+        rows = (slice(off, off + h * w), slice(None))
+        return TokenMap(ad.index(self.tokens, rows), [(h, w)], [tag])
 
     def split(self) -> list:
-        return [
-            TokenMap(ad.index(self.tokens, (sl, slice(None))), [g], [t])
-            for sl, g, t in zip(self.segment_slices(), self.grids, self.segments)
-        ]
+        """One single-image map per segment, in order."""
+        return [self._image(i) for i in range(len(self.segments))]
 
-    def segment(self, tag: str):
-        for sl, g, t in zip(self.segment_slices(), self.grids, self.segments):
-            if t == tag:
-                return TokenMap(ad.index(self.tokens, (sl, slice(None))), [g], [t])
-        raise ContractError(f"no segment tagged {tag}")
+    def segment(self, tag: str) -> "TokenMap":
+        if tag not in self.segments:
+            raise ContractError(f"no segment tagged {tag}")
+        return self._image(self.segments.index(tag))
 
     def with_tokens(self, tokens: Tensor) -> "TokenMap":
         return TokenMap(tokens, list(self.grids), list(self.segments))
 
 
 def concat_maps(maps: Sequence[TokenMap]) -> TokenMap:
+    """One map of maps' segments in order; one map is returned as is."""
+    if len(maps) == 1:
+        return maps[0]
     tokens = ad.concat([m.tokens for m in maps], axis=0)
     grids, segs = [], []
     for m in maps:
@@ -127,15 +129,34 @@ class PatchEmbed:
             raise DimensionError(
                 f"image {h}x{w} not divisible by patch stride {self.stride}"
             )
-        feat = ad.conv2d(ad.transpose(image, (1, 2, 0)), self.w, self.b,
-                         stride=self.stride, padding=self.padding)
+        return self._tokens(ad.transpose(image, (1, 2, 0)), [tag])
+
+    def _tokens(self, hwc: Tensor, segments: list) -> TokenMap:
+        """The conv of an (h, w, C) map as a one-image token map."""
+        feat = ad.conv2d(hwc, self.w, self.b, stride=self.stride,
+                         padding=self.padding)
         ho, wo, c = feat.data.shape
-        return TokenMap(ad.reshape(feat, (ho * wo, c)), [(ho, wo)], [tag])
+        return TokenMap(ad.reshape(feat, (ho * wo, c)), [(ho, wo)],
+                        list(segments))
 
     def flops(self, h: int, w: int) -> int:
         ho = (h + 2 * self.padding - self.kernel) // self.stride + 1
         wo = (w + 2 * self.padding - self.kernel) // self.stride + 1
         return 2 * ho * wo * self.channels * self.in_ch * self.kernel ** 2
+
+
+class InterConv(PatchEmbed):
+    """Stride-2 overlapping conv between stages (k=4, pad=1)."""
+
+    def __init__(self, store: ParamStore, prefix: str, rng, c_in: int,
+                 c_out: int):
+        super().__init__(store, prefix, rng, c_in, c_out, kernel=4, stride=2,
+                         padding=1)
+
+    def __call__(self, tm: TokenMap) -> TokenMap:
+        h, w = tm.grid
+        return self._tokens(ad.reshape(tm.tokens, (h, w, tm.channels)),
+                            tm.segments)
 
 
 class PatchMerge:
@@ -270,7 +291,7 @@ class Attention:
         r, c = self.sr_ratio, self.channels
         taps = ad.transpose(ad.reshape(self.sr_w, (c, r * r)), (1, 0))
         parts = []
-        for seg in (kv.split() if not kv.is_single() else [kv]):
+        for seg in kv.split():
             h, w = seg.grid
             if h % r or w % r:
                 raise DimensionError(f"kv grid {h}x{w} not divisible by r={r}")
@@ -279,7 +300,7 @@ class Attention:
                            (h * w // (r * r), r * r, c))
             red = ad.add(ad.sum_(ad.mul(t, taps), axis=1), self.sr_b)
             parts.append(TokenMap(red, [(h // r, w // r)], seg.segments))
-        return parts[0] if len(parts) == 1 else concat_maps(parts)
+        return concat_maps(parts)
 
     def _heads(self, t: Tensor, length: int) -> Tensor:
         return ad.transpose(ad.reshape(t, (length, self.heads, self.head_dim)),
@@ -335,19 +356,13 @@ class Mlp:
                 rng, (hidden, 1, 3, 3), 9, 9))
             self.pe_b = store.add(f"{prefix}.pe_b", np.zeros(hidden, dtype=np.float32))
 
-    def __call__(self, tokens: Tensor, layout: Optional[tuple] = None) -> Tensor:
-        h = ad.linear(tokens, self.w1, self.b1)
-        if self.cond_pe:
-            if layout is None:
-                raise ContractError("conditional PE needs the token layout")
-            parts, off = [], 0
-            for _, grid in layout:
-                n = grid[0] * grid[1]
-                seg = ad.index(h, (slice(off, off + n), slice(None)))
-                parts.append(ad.add(seg, ad.depthwise_conv3x3(
-                    seg, grid, self.pe_w, self.pe_b, pad="zero")))
-                off += n
-            h = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    def __call__(self, tm: TokenMap) -> Tensor:
+        h = ad.linear(tm.tokens, self.w1, self.b1)
+        if self.cond_pe:  # each image's grid is convolved on its own
+            h = concat_maps([
+                seg.with_tokens(ad.add(seg.tokens, ad.depthwise_conv3x3(
+                    seg.tokens, seg.grid, self.pe_w, self.pe_b, pad="zero")))
+                for seg in tm.with_tokens(h).split()]).tokens
         return ad.linear(ad.gelu(h), self.w2, self.b2)
 
     def flops(self, length: int) -> int:
@@ -396,11 +411,10 @@ class PreNormBlock:
         return ad.add(tm.tokens, self.attn(normed, normed, bias=bias))
 
     def _mlp_update(self, tm: TokenMap, t: Tensor) -> TokenMap:
-        return tm.with_tokens(ad.add(t, self.mlp(self.ln2(t),
-                                                 layout=tm.layout())))
+        return tm.with_tokens(ad.add(t, self.mlp(tm.with_tokens(self.ln2(t)))))
 
-    def self_block(self, tm: TokenMap, bias=None) -> TokenMap:
-        return self._mlp_update(tm, self._attend(tm, bias))
+    def self_block(self, tm: TokenMap) -> TokenMap:
+        return self._mlp_update(tm, self._attend(tm))
 
     def flops(self, lq: int, lkv: Optional[int] = None) -> int:
         """lq query tokens attending to lkv tokens (default: themselves)."""
@@ -484,8 +498,8 @@ class LocalLayer:
             raise ContractError("local layer operates on single-image maps")
         mixed = ad.depthwise_conv3x3(self.ln1(tm.tokens), tm.grid, self.dw_w,
                                      self.dw_b, pad="edge")
-        t = ad.add(tm.tokens, self.mlp1(mixed))
-        t = ad.add(t, self.mlp2(self.ln2(t)))
+        t = ad.add(tm.tokens, self.mlp1(tm.with_tokens(mixed)))
+        t = ad.add(t, self.mlp2(tm.with_tokens(self.ln2(t))))
         return tm.with_tokens(t)
 
     def flops(self, length: int) -> int:

@@ -189,9 +189,9 @@ PARSER_TABLE = [
     (("eval",), ("--out",), "out", None, None, False, "report output path",
      None, None),
     (("eval",), ("--jobs",), "jobs", "int", 1, False,
-     "parallel sequences, >= 1; each pool worker's ops split their work over "
-     "an even share of the SBT_LAB_THREADS threads, BLAS kept on one thread "
-     "(default: %(default)s)",
+     "parallel sequences, >= 1; they run as at most this many ranges and no "
+     "more than the SBT_LAB_THREADS width, each range at its share of that "
+     "width, BLAS kept on one thread (default: %(default)s)",
      None, None),
 ]
 
@@ -853,7 +853,7 @@ class TestThreadCount:
         for mod, name in ((cli.bb, "build_variant"),
                           (cli.bb, "load_variant_file"),
                           (cli.hn, "load_dataset"), (cli.hn, "gen_sequence"),
-                          (cli, "_load_frames"),
+                          (cli.hn, "read_frames"),
                           (cli, "_selftest_grad_checks"),
                           (cli.ad, "_start_helpers")):
             monkeypatch.setattr(mod, name, _no_work)
@@ -898,8 +898,9 @@ class TestOutAndScheduleChecks:
     def test_negative_seed_fails_before_work(self, command, tmp_path,
                                              forbid_work, monkeypatch,
                                              capsys):
-        for name in ("_load_frames", "_selftest_grad_checks"):
-            monkeypatch.setattr(cli, name, _no_work)
+        for mod, name in ((cli.hn, "read_frames"),
+                          (cli, "_selftest_grad_checks")):
+            monkeypatch.setattr(mod, name, _no_work)
         out = tmp_path / "out"
         code, text = run([command, "--seed", "-1"]
                          + _required_flags(command, tmp_path, out))
@@ -1108,7 +1109,7 @@ class TestArgvFuzz:
     one error line before any model or data work, or reach that work."""
 
     SPIED = ((cli.bb, "build_variant"), (cli.hn, "load_dataset"),
-             (cli, "_load_frames"), (cli.hn, "gen_sequence"),
+             (cli.hn, "read_frames"), (cli.hn, "gen_sequence"),
              (cli, "_selftest_grad_checks"))
     FLAGS = _subcommand_flags()
 

@@ -723,6 +723,35 @@ class TestEvaluateThreads:
             hn.evaluate(model, seqs, jobs=2)
         assert all(n.startswith("sbt-lab-fork-") for n in started), started
 
+    @staticmethod
+    def tracking_threads(monkeypatch):
+        """Evaluate two sequences at jobs=2; the threads that tracked."""
+        names = set()
+        real = hn.run_tracker_on_sequence
+
+        def spy(*args, **kwargs):
+            names.add(threading.current_thread().name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "run_tracker_on_sequence", spy)
+        seqs = [hn.gen_sequence(s, length=3, frame_size=96) for s in (41, 42)]
+        hn.evaluate(tiny_model(), seqs, jobs=2)
+        return names
+
+    def test_unpinned_blas_tracks_on_one_thread(self, monkeypatch):
+        """Where OpenBLAS cannot be pinned the engine's width is 1, so the
+        sequences run one after another, whatever SBT_LAB_THREADS says."""
+        monkeypatch.setenv("SBT_LAB_THREADS", "2")
+        monkeypatch.setattr(ad, "_openblas", lambda: None)
+        monkeypatch.setattr(ad, "_process_width", ad._process_width)
+        assert ad.set_threads() == 1
+        assert len(self.tracking_threads(monkeypatch)) == 1
+
+    def test_caller_width_bounds_the_ranges(self, monkeypatch):
+        monkeypatch.setenv("SBT_LAB_THREADS", "2")
+        with ad.thread_width(1):
+            assert len(self.tracking_threads(monkeypatch)) == 1
+
 
 class TestMaxThreads:
     def test_env_cap(self, monkeypatch):

@@ -5,8 +5,9 @@ from sbt_lab import autodiff as ad
 from sbt_lab.autodiff import ParamStore, Tensor, tensor
 from sbt_lab.errors import ConfigError, ContractError, DimensionError
 from sbt_lab.layers import (
-    Attention, FrmLayer, LocalLayer, PatchEmbed, PatchMerge, RelBiasTable,
-    TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps, segment_mask,
+    Attention, FrmLayer, LocalLayer, Mlp, PatchEmbed, PatchMerge,
+    RelBiasTable, TokenMap, UrmLayer, ca_dynamic_conv_oracle, concat_maps,
+    segment_mask,
 )
 
 F64 = np.float64
@@ -22,6 +23,31 @@ def make_map(rng, l, c, tag="search", grid=None, dtype=F64):
 def cast64(store):
     store.cast_(F64)
     return store
+
+
+class TestTokenMap:
+    def test_one_image_map_is_its_own_image(self):
+        tm = make_map(np.random.default_rng(30), 6, 4, grid=(2, 3))
+        tm.tokens.requires_grad = True
+        [only] = tm.split()
+        # the map itself, so no index or concat node is recorded
+        assert only is tm
+        assert tm.segment("search") is tm
+        assert concat_maps([tm]) is tm
+        with pytest.raises(ContractError):
+            tm.segment("template")
+
+    def test_cond_pe_mlp_convolves_each_image_alone(self):
+        ps, rng = ParamStore(), np.random.default_rng(31)
+        mlp = Mlp(ps, "mlp", rng, 6, 12, cond_pe=True)
+        cast64(ps)
+        maps = [make_map(rng, h * w, 6, tag=tag, grid=(h, w))
+                for tag, (h, w) in (("template", (4, 4)),
+                                    ("dyn_template", (4, 4)),
+                                    ("search", (8, 8)))]
+        alone = np.concatenate([mlp(m).data for m in maps])
+        np.testing.assert_allclose(mlp(concat_maps(maps)).data, alone,
+                                   rtol=0, atol=1e-12)
 
 
 class TestPatchEmbed:
@@ -234,7 +260,7 @@ class TestFrm:
         z = make_map(rng, 4, 8, tag="template", grid=(2, 2))
         x = make_map(rng, 4, 8, grid=(2, 2))
         z2, x2 = frm(z, x, "SA")
-        expect = x.tokens.data + frm.mlp(frm.ln2(x.tokens)).data
+        expect = x.tokens.data + frm.mlp(x.with_tokens(frm.ln2(x.tokens))).data
         np.testing.assert_allclose(x2.tokens.data, expect, atol=1e-12)
 
     def test_ca_equals_sa_on_identical_maps(self):

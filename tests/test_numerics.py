@@ -12,7 +12,7 @@ from sbt_lab.autodiff import (
     layer_norm, linear, matmul, softmax_lastdim, tensor,
 )
 from sbt_lab.errors import ContractError, DimensionError, NumericError
-from sbt_lab.layers import Mlp
+from sbt_lab.layers import Mlp, TokenMap
 from sbt_lab.optim import AdamW, clip_grad_norm
 
 F64 = np.float64
@@ -393,12 +393,12 @@ class TestDepthwiseConv3x3:
         rng = np.random.default_rng(9)
         ps = ParamStore()
         mlp = Mlp(ps, "mlp", rng, channels=3, hidden=4, cond_pe=True)
-        layout = (("template", (2, 2)), ("search", (3, 4)))
         x = rng.normal(size=(16, 3))
         ps.add("x", x)
 
         def f(p):
-            out = mlp(p["x"], layout=layout)
+            out = mlp(TokenMap(p["x"], [(2, 2), (3, 4)],
+                               ["template", "search"]))
             return ad.sum_(out * out)
 
         assert grad_check(f, ps) < 1e-6
