@@ -743,7 +743,6 @@ class TestEvaluateThreads:
         sequences run one after another, whatever SBT_LAB_THREADS says."""
         monkeypatch.setenv("SBT_LAB_THREADS", "2")
         monkeypatch.setattr(ad, "_openblas", lambda: None)
-        monkeypatch.setattr(ad, "_process_width", ad._process_width)
         assert ad.set_threads() == 1
         assert len(self.tracking_threads(monkeypatch)) == 1
 

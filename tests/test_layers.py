@@ -28,7 +28,6 @@ def cast64(store):
 class TestTokenMap:
     def test_one_image_map_is_its_own_image(self):
         tm = make_map(np.random.default_rng(30), 6, 4, grid=(2, 3))
-        tm.tokens.requires_grad = True
         [only] = tm.split()
         # the map itself, so no index or concat node is recorded
         assert only is tm
