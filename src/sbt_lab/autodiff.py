@@ -413,9 +413,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __pow__(self, p):
         return pow_const(self, p)
 

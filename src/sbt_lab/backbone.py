@@ -119,6 +119,10 @@ class VariantConfig:
                 )
             if last and st.operator == "mlp-local":
                 raise ConfigError("final stage must be an attention stage")
+        if self.pe == "abs" and self.stages[0].channels % 4:
+            raise ConfigError(
+                f"abs PE needs stage 1 channels divisible by 4, got "
+                f"{self.stages[0].channels}")
         if self.pattern == "urm" and self.stages[-1].operator != "vg":
             raise ConfigError("joint self-attention pattern needs a VG final stage")
         if (min(self.search_size, self.template_size) < TOTAL_STRIDE
@@ -282,9 +286,8 @@ def load_variant_file(path) -> VariantConfig:
 # ---------------------------------------------------------------------------
 
 def sincos_2d(channels: int, h: int, w: int) -> np.ndarray:
-    """Fixed 2-D sine/cosine position table, (h*w, channels)."""
-    if channels % 4:
-        raise ConfigError("sincos table needs channels divisible by 4")
+    """Fixed 2-D sine/cosine position table, (h*w, channels); channels
+    divisible by 4, which VariantConfig.validate checks for pe = abs."""
     d = channels // 4
     omega = 1.0 / 10000.0 ** (np.arange(d) / d)
     ys, xs = np.mgrid[0:h, 0:w]
@@ -363,16 +366,14 @@ class Model:
         else:
             tokens = (config.search_size // TOTAL_STRIDE) ** 2
             self.head = MixMlpHead(self.store, "head", rng, c_last, tokens)
-
-        self._abs_pe: dict = {}
+        # pe = abs adds the fixed sine table of each input's first-stage grid
+        self._abs_pe = {}
+        if config.pe == "abs":
+            for size in (config.template_size, config.search_size):
+                s = config.grid_side(size, 0)
+                self._abs_pe[s, s] = sincos_2d(stages[0].channels, s, s)
 
     # -- forward -------------------------------------------------------
-
-    def _abs_table(self, h: int, w: int, c: int) -> np.ndarray:
-        key = (h, w, c)
-        if key not in self._abs_pe:
-            self._abs_pe[key] = sincos_2d(c, h, w)
-        return self._abs_pe[key]
 
     def encode_early(self, image: Tensor, tag: str) -> TokenMap:
         """Embed one image and run every stage before the joint stage.
@@ -383,9 +384,7 @@ class Model:
         """
         tm = self.embed(ad.add(image, -0.5), tag)
         if self.cfg.pe == "abs":
-            h, w = tm.grid
-            tm = tm.with_tokens(ad.add(tm.tokens,
-                                       self._abs_table(h, w, tm.channels)))
+            tm = tm.with_tokens(ad.add(tm.tokens, self._abs_pe[tm.grid]))
         for blocks, inter in zip(self.stage_blocks[:-1], self.inter_ops):
             for blk in blocks:
                 tm = blk(tm) if isinstance(blk, LocalLayer) else blk.self_block(tm)

@@ -380,8 +380,7 @@ def train_loop(model: Model, sequences, steps: int, lr: float = 1e-4,
         else:
             seq = sequences[int(rng.integers(0, len(sequences)))]
             template, search, gt = sample_pair(seq, model.cfg, rng)
-        _, f_x = model.forward_pair(Tensor(template), Tensor(search))
-        return total_loss(model.head(f_x), gt)
+        return total_loss(model.predict(Tensor(template), Tensor(search)), gt)
 
     opt = AdamW(model.store, lr=lr, weight_decay=weight_decay)
     parts = _optimise([opt], steps, step, log_every, log_fn, stop_fn)

@@ -122,8 +122,6 @@ class ConvHead:
         return ad.sigmoid(ad.reshape(out, (h * w, proj_w.data.shape[0])))
 
     def __call__(self, f_x: TokenMap) -> HeadOutput:
-        if not f_x.is_single():
-            raise ContractError("conv head needs a single-segment search map")
         h, w = f_x.grid
         x = ad.reshape(f_x.tokens, (h, w, f_x.channels))
         return _head_output({branch: self._branch(x, branch)

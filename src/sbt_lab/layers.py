@@ -57,18 +57,16 @@ class TokenMap:
     def layout(self) -> tuple:
         return tuple(zip(self.segments, self.grids))
 
-    def is_single(self) -> bool:
-        return len(self.segments) == 1
-
     @property
     def grid(self):
-        if not self.is_single():
+        """(h, w) of a one-image map; a map of several images is refused."""
+        if len(self.segments) != 1:
             raise ContractError("grid is only defined for single-segment maps")
         return self.grids[0]
 
     def _image(self, i: int) -> "TokenMap":
         """Segment i as a one-image map; a one-image map is itself."""
-        if self.is_single():
+        if len(self.segments) == 1:
             return self
         off = sum(h * w for h, w in self.grids[:i])
         (h, w), tag = self.grids[i], self.segments[i]
@@ -428,8 +426,6 @@ class FrmLayer(PreNormBlock):
 
     def attention_update(self, z: TokenMap, x: TokenMap):
         """Residual cross-attention step only; returns updated token tensors."""
-        if z.channels != x.channels:
-            raise DimensionError("template/search channel mismatch")
         zn = z.with_tokens(self.ln1(z.tokens))
         xn = x.with_tokens(self.ln1(x.tokens))
         return (ad.add(z.tokens, self.attn(zn, xn)),
@@ -494,8 +490,6 @@ class LocalLayer:
         self.mlp2 = Mlp(store, f"{prefix}.mlp2", rng, channels, hidden)
 
     def __call__(self, tm: TokenMap) -> TokenMap:
-        if not tm.is_single():
-            raise ContractError("local layer operates on single-image maps")
         mixed = ad.depthwise_conv3x3(self.ln1(tm.tokens), tm.grid, self.dw_w,
                                      self.dw_b, pad="edge")
         t = ad.add(tm.tokens, self.mlp1(tm.with_tokens(mixed)))

@@ -11,6 +11,9 @@ from .autodiff import ParamStore
 from .errors import ContractError
 
 
+# AdamW's moment decay rates and denominator floor
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 # values per block of clip_grad_norm's and AdamW's passes: a block's
 # temporaries stay in cache, where whole-array passes stream every value
 # through memory
@@ -81,7 +84,6 @@ class AdamW:
     """
 
     def __init__(self, params: ParamStore, lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 1e-4, strict: bool = True):
         # strict=False skips parameters without a gradient instead of
         # failing; needed when only part of the model is exercised
@@ -89,8 +91,6 @@ class AdamW:
         self.params = params
         self.strict = strict
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
@@ -98,7 +98,7 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         # the scalars of the whole-array update, formed the same way, so
         # that blocking changes no bit of the result
         c1, c2 = 1.0 - b1, 1.0 - b2
@@ -143,7 +143,7 @@ class AdamW:
                 # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
                 np.sqrt(v, out=scratch)
                 scratch *= inv_sqrt_bc2
-                scratch += self.eps
+                scratch += _EPS
                 np.divide(m, scratch, out=scratch)
                 scratch *= lr_bc1
                 w -= scratch

@@ -133,14 +133,15 @@ def crop_search(frame: np.ndarray, box, out_size: int, scale: float = 1.0,
 
 
 def check_box_in_frame(box, frame_shape):
-    """Refuse a box (x, y, w, h) that is not finite, has w or h <= 0, or
-    is not inside a frame of frame_shape (C, H, W)."""
+    """Refuse a box (x, y, w, h) that is not finite, has w or h <= 0 or
+    an area w * h that underflows to 0, or is not inside a frame of
+    frame_shape (C, H, W)."""
     x, y, w, h = box
     _, fh, fw = frame_shape
     # every comparison with NaN is false, so the checks below would pass it
     if not np.isfinite(box).all():
         raise ContractError(f"non-finite box {tuple(box)}")
-    if w <= 0 or h <= 0:
+    if w <= 0 or h <= 0 or w * h == 0:
         raise ContractError(f"degenerate box {tuple(box)}")
     if x < 0 or y < 0 or x + w > fw or y + h > fh:
         raise ContractError(f"box {tuple(box)} not inside {fw}x{fh} frame")

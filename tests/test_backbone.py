@@ -447,6 +447,30 @@ heads = 2
             bb.parse_variant_config(
                 self.GOOD.replace(self.SR_OLD, self.SR_NEW.format(r=3)))
 
+    # one 16-px-stride stage: the abs sine table is built at its channels
+    ABS_PE = """
+embed_kernel = 16
+embed_stride = 16
+inter_stage = conv
+pe = abs
+pattern = interleave
+head = conv
+template_size = 32
+search_size = 64
+[stage1]
+operator = vg
+channels = 20
+blocks = 1
+heads = 2
+"""
+
+    def test_abs_pe_needs_stage1_channels_divisible_by_4(self):
+        assert bb.parse_variant_config(self.ABS_PE).stages[0].channels == 20
+        with pytest.raises(ConfigError, match="^abs PE needs stage 1 channels "
+                           "divisible by 4, got 18$"):
+            bb.parse_variant_config(
+                self.ABS_PE.replace("channels = 20", "channels = 18"))
+
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(small_config_texts())

@@ -337,6 +337,20 @@ def test_indivisible_sr_ratio_exit_one(command, dataset, tmp_path,
     assert_one_error_no_build(code, text, capsys, build_seeds)
 
 
+@pytest.mark.parametrize("command", ["variant-info", "train", "eval"])
+def test_abs_pe_indivisible_channels_exit_one(command, dataset, tmp_path,
+                                              build_seeds, capsys):
+    # the sine table splits stage 1's channels four ways
+    cfg = tmp_path / "abs18.cfg"
+    cfg.write_text("embed_kernel = 16\nembed_stride = 16\ninter_stage = conv\n"
+                   "pe = abs\npattern = interleave\nhead = conv\n"
+                   "template_size = 32\nsearch_size = 64\n[stage1]\n"
+                   "operator = vg\nchannels = 18\nblocks = 1\nheads = 2\n")
+    code, text = run([command, "--variant-file", str(cfg)] + _required_flags(
+        command, dataset, tmp_path / "x.sbtc"))
+    assert_one_error_no_build(code, text, capsys, build_seeds)
+
+
 class TestFlops:
     def test_breakdown_sums_to_total(self, tiny_cfg):
         code, text = run(["flops", "--variant-file", tiny_cfg])
@@ -534,7 +548,8 @@ class TestTrack:
     def test_malformed_init_exit_one(self, tiny_cfg, dataset, build_seeds,
                                      capsys):
         video = os.path.join(dataset, "seq_1")
-        for bad in ("30,30,20", "a,b,c,d", "nan,30,20,20"):
+        for bad in ("30,30,20", "a,b,c,d", "nan,30,20,20",
+                    "30,30,1e-200,1e-200"):
             code, text = run(["track", "--video", video, "--init", bad,
                               "--variant-file", tiny_cfg])
             assert_one_error_no_build(code, text, capsys, build_seeds)
@@ -953,7 +968,8 @@ class TestOutAndScheduleChecks:
         self.assert_one_line_error(code, text, capsys, f"{gt} line 3: ")
 
     @pytest.mark.parametrize("command,defect", [
-        ("eval", "box-outside"), ("eval", "small-frames"),
+        ("eval", "box-outside"), ("eval", "box-underflow"),
+        ("eval", "small-frames"),
     ] + [(command, defect)
          for command in ("track", "eval", "train", "pretrain-mim")
          for defect in ("truncated-frame", "not-p6-frame")])
@@ -963,15 +979,19 @@ class TestOutAndScheduleChecks:
         variant = ["--variant-file", tiny_cfg]
         seq = os.path.join(dataset, "seq_1")
         frame = os.path.join(seq, "frame_2.ppm")
-        if defect == "box-outside":
+        if defect in ("box-outside", "box-underflow"):
             gt = os.path.join(seq, "gt.csv")
             with open(gt) as fh:
                 lines = fh.read().splitlines()
-            lines[0] = "0,80,80,20,20"
+            # w * h of the second box is 0 in float64
+            lines[0] = {"box-outside": "0,80,80,20,20",
+                        "box-underflow": "0,30,30,1e-200,1e-200"}[defect]
             with open(gt, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
-            needle = ("seq_1: box (80.0, 80.0, 20.0, 20.0) not inside "
-                      "96x96 frame")
+            needle = {"box-outside": "seq_1: box (80.0, 80.0, 20.0, 20.0) "
+                                     "not inside 96x96 frame",
+                      "box-underflow": "seq_1: degenerate box "
+                                       "(30.0, 30.0, 1e-200, 1e-200)"}[defect]
         elif defect == "small-frames":
             # the default variant's 256 px search crop needs 64 px frames
             dataset = str(tmp_path / "small")

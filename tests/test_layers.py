@@ -262,6 +262,14 @@ class TestFrm:
         expect = x.tokens.data + frm.mlp(x.with_tokens(frm.ln2(x.tokens))).data
         np.testing.assert_allclose(x2.tokens.data, expect, atol=1e-12)
 
+    def test_search_channel_mismatch_raises(self):
+        ps, frm = self.make_frm(24)
+        rng = np.random.default_rng(25)
+        z = make_map(rng, 4, 8, tag="template", grid=(2, 2))
+        x = make_map(rng, 4, 6, grid=(2, 2))
+        with pytest.raises(DimensionError):
+            frm.attention_update(z, x)
+
     def test_ca_equals_sa_on_identical_maps(self):
         ps, frm = self.make_frm(22)
         rng = np.random.default_rng(23)
